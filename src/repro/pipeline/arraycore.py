@@ -46,9 +46,9 @@ widening each column to K rows per slot and letting the per-cycle
 loops stride over runs — the layout was chosen so that change is
 mechanical and ships in a follow-up.
 
-This module deliberately does not support :meth:`Pipeline.capture_ops`
-(pipetrace rendering keeps using the object core, which retains real
-``InflightOp`` records).
+:meth:`capture_ops` records each captured op's stage cycles in a
+:class:`~repro.pipeline.pipetrace.CapturedOp` hung off its slot, so
+pipetrace rendering needs no per-op objects in the hot loop.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from ..trace.uop import FUClass, MicroOp, OpClass
 from ..trace.stream import TraceStream
 from .config import MachineConfig
 from .core import _DEADLOCK_LIMIT, _FU_EXEC_CLASSES, CycleObserver
+from .pipetrace import CapturedOp
 from .stats import SimStats
 from .usage import CycleUsage, UsageTotals, activity_mask_table
 
@@ -244,6 +245,8 @@ class ArrayPipeline:
         self._resq: List[int] = []
         self._gen: List[int] = []
         self._wait: List[List[int]] = []
+        #: pipetrace record of the op in each slot, while it is captured
+        self._rec: List[Optional[CapturedOp]] = []
         self._free: List[int] = []
         self._grow(cap)
 
@@ -272,6 +275,12 @@ class ArrayPipeline:
                                          List[int]]] = None
         self._last_commit_cycle = 0
 
+        # optional per-op capture for pipetrace rendering
+        self._capture_limit = 0
+        #: captured ops not yet committed or squashed
+        self._capture_live = 0
+        self.captured_ops: List[CapturedOp] = []
+
     # ------------------------------------------------------------------
     # slot management
     # ------------------------------------------------------------------
@@ -299,6 +308,7 @@ class ArrayPipeline:
         self._resq.extend([0] * extra)
         self._gen.extend([0] * extra)
         self._wait.extend([] for _ in range(extra))
+        self._rec.extend([None] * extra)
         self._cap += extra
         self._free.extend(range(self._cap - 1, base - 1, -1))
 
@@ -320,9 +330,18 @@ class ArrayPipeline:
         self.observers.append(observer)
 
     def capture_ops(self, limit: int) -> None:
-        raise NotImplementedError(
-            "pipetrace capture needs InflightOp records; use the object "
-            "backend (repro.pipeline.core.Pipeline)")
+        """Record the first ``limit`` dispatched ops (wrong-path
+        included) for :func:`repro.pipeline.pipetrace.render_pipetrace`."""
+        if limit < 0:
+            raise ValueError("limit must be non-negative")
+        self._capture_limit = limit
+
+    def _mark_complete(self, slots: List[int], c: int) -> None:
+        o_rec = self._rec
+        for s in slots:
+            rec = o_rec[s]
+            if rec is not None:
+                rec.complete_cycle = c
 
     # ------------------------------------------------------------------
     # top-level loop
@@ -375,6 +394,7 @@ class ArrayPipeline:
         mwp = self.config.model_wrong_path
         cmask = self._cal_mask
         cidx = c & cmask
+        capturing = self._capture_live > 0
 
         o_done = self._done
         o_com = self._com
@@ -439,6 +459,8 @@ class ArrayPipeline:
                 writers = writers[:n_buses]
             for s in writers:
                 o_done[s] = 1
+            if capturing:
+                self._mark_complete(writers, c)
             buses_used = len(writers)
             bus_list.clear()
         other_list = self._other_ring[cidx]
@@ -448,6 +470,9 @@ class ArrayPipeline:
                     self._release(s)
                 else:
                     o_done[s] = 1
+            if capturing:
+                # squashed slots dropped their record at squash time
+                self._mark_complete(other_list, c)
             other_list.clear()
         usage.result_bus_used = buses_used
         usage.latch_slots["writeback"] = buses_used * self._writeback_depth
@@ -493,6 +518,12 @@ class ArrayPipeline:
                 dest = o_dest[s]
                 if dest >= 0 and rp[dest] == s:
                     rp[dest] = -1
+                if capturing:
+                    rec = self._rec[s]
+                    if rec is not None:
+                        rec.commit_cycle = c
+                        self._rec[s] = None
+                        self._capture_live -= 1
                 if o_resq[s]:
                     continue  # unresolved branch: freed at resolve drain
                 gens[s] += 1
@@ -628,6 +659,10 @@ class ArrayPipeline:
                             ok = True
                 if ok:
                     issued += 1
+                    if capturing:
+                        rec = self._rec[s]
+                        if rec is not None:
+                            rec.issued_cycle = c
                     if keep is None:
                         keep = pending[:i]
                 elif keep is not None:
@@ -649,6 +684,7 @@ class ArrayPipeline:
             free = self._free
             o_cls = self._cls
             gens = self._gen
+            capture_room = self._capture_limit - len(self.captured_ops)
             next_ready = c + 1
             while (frontend and dispatched < width
                    and len(window) < window_size):
@@ -715,6 +751,12 @@ class ArrayPipeline:
                         self._store_map[addr] = s
                 window.append(s)
                 pending.append(s)
+                if capture_room > 0:
+                    rec = CapturedOp(uop, c, entry[4])
+                    self.captured_ops.append(rec)
+                    self._rec[s] = rec
+                    self._capture_live += 1
+                    capture_room -= 1
                 dispatched += 1
         usage.dispatched = dispatched
         usage.renamed = dispatched
@@ -875,9 +917,15 @@ class ArrayPipeline:
         o_sq = self._sq
         stats = self.stats
         popped: List[int] = []
+        o_rec = self._rec
         while window and o_wp[window[-1]]:
             s = window.pop()
             o_sq[s] = 1
+            rec = o_rec[s]
+            if rec is not None:
+                rec.squashed = True
+                o_rec[s] = None
+                self._capture_live -= 1
             stats.wrong_path_squashed += 1
             if self._flags[s] & _F_MEM:
                 self._lsq_count -= 1

@@ -28,12 +28,34 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .inflight import InflightOp
+from ..trace.uop import MicroOp
 
-__all__ = ["render_pipetrace"]
+__all__ = ["CapturedOp", "render_pipetrace"]
 
 
-def _timeline(op: InflightOp, start: int, end: int) -> str:
+class CapturedOp:
+    """The stage timeline of one dispatched op, as recorded by
+    :meth:`Pipeline.capture_ops`; cycles stay None until reached."""
+
+    __slots__ = ("uop", "dispatch_cycle", "issued_cycle", "complete_cycle",
+                 "commit_cycle", "wrong_path", "squashed")
+
+    def __init__(self, uop: MicroOp, dispatch_cycle: int,
+                 wrong_path: bool = False) -> None:
+        self.uop = uop
+        self.dispatch_cycle = dispatch_cycle
+        self.issued_cycle: Optional[int] = None
+        self.complete_cycle: Optional[int] = None
+        self.commit_cycle: Optional[int] = None
+        self.wrong_path = wrong_path   #: fetched past a mispredict
+        self.squashed = False          #: removed by a wrong-path squash
+
+    @property
+    def seq(self) -> int:
+        return self.uop.seq
+
+
+def _timeline(op: CapturedOp, start: int, end: int) -> str:
     cells: List[str] = []
     dispatch = op.dispatch_cycle
     issue = op.issued_cycle
@@ -65,10 +87,10 @@ def _timeline(op: InflightOp, start: int, end: int) -> str:
     return "".join(cells).rstrip()
 
 
-def render_pipetrace(ops: Sequence[InflightOp],
+def render_pipetrace(ops: Sequence[CapturedOp],
                      max_cycles: int = 120,
                      start: Optional[int] = None) -> str:
-    """Timeline chart for captured in-flight ops.
+    """Timeline chart for captured ops.
 
     Parameters
     ----------
@@ -101,6 +123,6 @@ def render_pipetrace(ops: Sequence[InflightOp],
     return "\n".join(lines)
 
 
-def _label(op: InflightOp) -> str:
+def _label(op: CapturedOp) -> str:
     tag = "~" if op.wrong_path else " "
     return f"{tag}#{op.seq} {op.uop.op_class.name.lower():6s}"
