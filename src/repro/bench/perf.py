@@ -85,8 +85,7 @@ def _run_case(sim: Simulator, case: BenchCase, instructions: int):
         from ..sim.sampling import SampledRun
         return SampledRun(case.benchmark, case.policy, instructions,
                           case.sample, config=sim.config,
-                          calibration=sim.calibration,
-                          backend=sim.backend).run()
+                          calibration=sim.calibration).run()
     return sim.run_benchmark(case.benchmark, case.policy,
                              instructions=instructions)
 
@@ -131,16 +130,12 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
               tag: str = "local",
               config: Optional[MachineConfig] = None,
               progress=None,
-              backend: Optional[str] = None,
               repeats: int = 1) -> Dict[str, object]:
     """Time every case and return the report dict.
 
     ``progress``, when given, is called with each finished case record
-    (the CLI uses it for per-case stderr lines).  ``backend`` selects
-    the cycle-core implementation (``object``/``array``; defaults to
-    the ``REPRO_BACKEND`` environment variable) and is recorded in the
-    report.  ``repeats`` times each case that many times and keeps the
-    fastest run.
+    (the CLI uses it for per-case stderr lines).  ``repeats`` times each
+    case that many times and keeps the fastest run.
     """
     if instructions <= 0:
         raise ValueError("instructions must be positive")
@@ -148,7 +143,7 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
         raise ValueError("at least one bench case is required")
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    sim = Simulator(config, backend=backend)
+    sim = Simulator(config)
     results: List[Dict[str, object]] = []
     for case in cases:
         record = _time_case(sim, case, instructions, repeats)
@@ -163,7 +158,6 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
         "created_unix": time.time(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backend": sim.backend,
         "repeats": repeats,
         "instructions_per_case": instructions,
         "results": results,
@@ -181,13 +175,17 @@ def profile_case(case: BenchCase = DEFAULT_CASES[1],
                  instructions: int = DEFAULT_INSTRUCTIONS,
                  top: int = 25,
                  config: Optional[MachineConfig] = None) -> str:
-    """cProfile one case and return the hottest-functions table."""
+    """cProfile one case and return the hottest-functions table.
+
+    A sampled case profiles the sampling driver, as :func:`run_bench`
+    times it.
+    """
     sim = Simulator(config)
     # warm imports/caches outside the profile window
     sim.run_benchmark(case.benchmark, case.policy, instructions=1_000)
     profiler = cProfile.Profile()
     profiler.enable()
-    sim.run_benchmark(case.benchmark, case.policy, instructions=instructions)
+    _run_case(sim, case, instructions)
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)

@@ -43,7 +43,7 @@ from .analysis.report import write_experiments_md
 from .power import BlockPowers
 from .sim import (ExperimentRunner, Simulator, baseline_config,
                   deep_pipeline_config, default_jobs)
-from .sim.simulator import BACKENDS, BACKEND_ENV_VAR
+from .sim.simulator import BUILTIN_POLICIES
 from .sim.parallel import RunReport
 from .workloads import ALL_BENCHMARKS, SPEC2000
 
@@ -59,10 +59,6 @@ _FIGURES = {
     "fig16": fig16_result_bus,
     "fig17": fig17_deep_pipeline,
 }
-
-_POLICIES = ("base", "dcg", "dcg-delayed-store", "dcg+iq",
-              "plb-orig", "plb-ext")
-
 
 def _positive_int(text: str) -> int:
     """argparse type for budgets/worker counts: integer >= 1.
@@ -85,14 +81,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes for the simulation grid "
                              "(default: $REPRO_JOBS or 1)")
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="cycle-core implementation (default: "
-                             "$REPRO_BACKEND or 'object'); exported to "
-                             "the environment so worker processes "
-                             "inherit it")
 
 
 def _add_server_flag(parser: argparse.ArgumentParser) -> None:
@@ -118,18 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one benchmark")
     run.add_argument("benchmark", choices=sorted(ALL_BENCHMARKS))
-    run.add_argument("--policy", choices=_POLICIES, default="dcg")
+    run.add_argument("--policy", choices=BUILTIN_POLICIES, default="dcg")
     run.add_argument("--instructions", type=_positive_int, default=10_000)
     run.add_argument("--deep", action="store_true",
                      help="use the 20-stage machine")
-    _add_backend_flag(run)
     _add_sample_flag(run)
 
     compare = sub.add_parser("compare", help="all policies on one benchmark")
     compare.add_argument("benchmark", choices=sorted(ALL_BENCHMARKS))
     compare.add_argument("--instructions", type=_positive_int,
                          default=10_000)
-    _add_backend_flag(compare)
     _add_jobs_flag(compare)
     _add_server_flag(compare)
     _add_sample_flag(compare)
@@ -167,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_perf.add_argument("--repeats", type=_positive_int, default=1,
                             help="time each case N times and keep the "
                                  "fastest run")
-    _add_backend_flag(bench_perf)
     bench_perf.add_argument("--profile", action="store_true",
                             help="cProfile one case and print the hottest "
                                  "functions instead of timing the matrix "
@@ -240,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit one run to a running service")
     submit.add_argument("benchmark", choices=sorted(ALL_BENCHMARKS))
-    submit.add_argument("--policy", choices=_POLICIES, default="dcg")
+    submit.add_argument("--policy", choices=BUILTIN_POLICIES, default="dcg")
     submit.add_argument("--tag", default="baseline",
                         help="machine configuration tag (see sim.configs)")
     submit.add_argument("--instructions", type=_positive_int, default=None)
@@ -640,11 +625,6 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        # export rather than thread through call sites: the parallel
-        # runner's worker processes and the service inherit the
-        # environment, so every simulator in the tree picks it up
-        os.environ[BACKEND_ENV_VAR] = args.backend
     if args.command == "events":
         # reading a journal must not append to it
         return _COMMANDS[args.command](args)

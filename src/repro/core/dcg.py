@@ -38,7 +38,7 @@ per-cycle work is set arithmetic over small prebuilt sets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..backend.funits import FU_LATENCY
 from ..pipeline.config import MachineConfig
@@ -204,14 +204,14 @@ class DCGPolicy(GatingPolicy):
                 ring[ridx] = 0
                 if verify:
                     mask = fu_active.get(fu_class, ())
-                    # fastest path: the array core's activity tuples come
+                    # fastest path: the core's activity tuples come
                     # from the same shared activity_mask_table, so one
                     # pointer comparison proves prediction == actual
                     if table is not None and mask is table[claimed_bits]:
                         pass
                     elif claimed_bits or True in mask:
                         # value comparison for tuples built elsewhere
-                        # (the object core builds them per cycle); fall
+                        # (hand-made usage records in tests); fall
                         # back to set comparison only on mismatch
                         # (list-typed masks, capacity mismatches)
                         if table is None or mask != table[claimed_bits]:
@@ -271,3 +271,6 @@ class DCGPolicy(GatingPolicy):
             decision.issue_queue_gated_fraction = empty / self._window_size
 
         return decision
+
+    def result_fields(self) -> Dict[str, Any]:
+        return {"fu_toggles": self.toggle_count}

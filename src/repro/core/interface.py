@@ -26,7 +26,7 @@ re-application of functional-unit restrictions.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
 from ..pipeline.config import MachineConfig
 from ..pipeline.usage import CycleUsage
@@ -137,6 +137,11 @@ class GatingPolicy:
     def observe(self, usage: CycleUsage) -> GateDecision:
         """Gate decision for the cycle just executed (none by default)."""
         return GateDecision()
+
+    def result_fields(self) -> Dict[str, Any]:
+        """Policy-specific :class:`~repro.sim.simulator.SimulationResult`
+        fields for the run just finished (none by default)."""
+        return {}
 
 
 class NoGatingPolicy(GatingPolicy):

@@ -31,7 +31,7 @@ and one latch-gating table per mode; the per-cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from ..pipeline.config import MachineConfig
 from ..pipeline.usage import CycleUsage
@@ -281,3 +281,6 @@ class PLBPolicy(GatingPolicy):
         decision.result_buses_gated = (
             buses_disabled if buses_disabled < free_buses else free_buses)
         return decision
+
+    def result_fields(self) -> Dict[str, Any]:
+        return {"mode_cycles": dict(self.mode_cycles)}

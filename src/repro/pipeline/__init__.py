@@ -2,8 +2,7 @@
 
 from .config import BASELINE_DEPTH, DEEP_DEPTH, DepthConfig, MachineConfig
 from .core import Pipeline
-from .inflight import InflightOp
-from .pipetrace import render_pipetrace
+from .pipetrace import CapturedOp, render_pipetrace
 from .stats import SimStats
 from .usage import CycleUsage, UsageTotals
 from .verification import InvariantChecker, InvariantViolation
@@ -11,9 +10,9 @@ from .verification import InvariantChecker, InvariantViolation
 __all__ = [
     "BASELINE_DEPTH",
     "DEEP_DEPTH",
+    "CapturedOp",
     "CycleUsage",
     "DepthConfig",
-    "InflightOp",
     "InvariantChecker",
     "InvariantViolation",
     "MachineConfig",

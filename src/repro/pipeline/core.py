@@ -16,24 +16,58 @@ Relative timing matches the paper's DCG discussion:
 Each simulated cycle produces a :class:`~repro.pipeline.usage.CycleUsage`
 that is handed to the gating policy and any registered observers (the
 power accountant).
+
+The per-cycle state is held as a struct of arrays:
+
+* every in-flight instruction is a *slot index* into ~20 parallel
+  int/object columns (``_seq``, ``_ready``, ``_unres``, ``_icyc``, ...),
+  recycled through a free list when the op commits or is squashed;
+* the cycle-keyed event calendars (result-bus completion, non-bus
+  completion, branch resolution) are power-of-two rings of slot lists
+  indexed by ``cycle & mask`` — the ring is sized past the deepest
+  possible look-ahead (main-memory latency plus pipeline depth), so a
+  slot is always drained before it can be re-targeted;
+* functional-unit occupancy is a per-class ring of *bitmask ints*
+  (bit ``i`` = instance ``i`` holds an op that cycle); the per-cycle
+  activity tuples handed to policies are table look-ups on the mask;
+* D-cache port reservations are int rings, and the issue counts that
+  clock the gated latches live in a ring with sliding stage windows.
+
+The entire per-cycle step runs as one fused method so the hot loop
+pays for list indexing instead of attribute chases, object allocation,
+and per-stage call overhead.
+
+Two slot-lifetime rules keep recycling safe:
+
+* The rename map is a 64-entry slot list.  The wrong-path checkpoint
+  snapshots it together with per-slot generation counters; restore
+  drops entries whose slot was recycled or whose op committed (dispatch
+  ignores committed producers anyway).
+* Squashed wrong-path ops that already issued keep their slot until
+  their completion-calendar entry drains; unissued or completed ones
+  free at squash time.
+
+:meth:`Pipeline.capture_ops` records each captured op's stage cycles in
+a :class:`~repro.pipeline.pipetrace.CapturedOp` hung off its slot, so
+pipetrace rendering needs no per-op objects in the hot loop.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..backend.funits import FU_LATENCY, FUPool
+from ..backend.funits import FU_LATENCY, AllocationPolicy
 from ..core.interface import CycleConstraints, GateDecision, GatingPolicy
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.uop import FUClass, MicroOp, OpClass
 from ..trace.stream import TraceStream
 from .config import MachineConfig
-from .inflight import InflightOp
+from .pipetrace import CapturedOp
 from .stats import SimStats
-from .usage import CycleUsage, UsageTotals
+from .usage import CycleUsage, UsageTotals, activity_mask_table
 
 __all__ = ["Pipeline", "CycleObserver"]
 
@@ -46,17 +80,43 @@ _FU_EXEC_CLASSES = (FUClass.INT_ALU, FUClass.INT_MULT,
 #: abort if the machine makes no forward progress for this many cycles
 _DEADLOCK_LIMIT = 50_000
 
+# -- per-op-class constant tables, indexed by OpClass (an IntEnum) ----------
 
-class _FrontendEntry:
-    __slots__ = ("uop", "ready_cycle", "prediction", "wrong_path",
-                 "is_mispredicted_branch")
+_F_LOAD, _F_STORE, _F_MEM, _F_BRANCH, _F_FP = 1, 2, 4, 8, 16
 
-    def __init__(self, uop: MicroOp, ready_cycle: int) -> None:
-        self.uop = uop
-        self.ready_cycle = ready_cycle
-        self.prediction: Tuple[bool, Optional[int]] = (False, None)
-        self.wrong_path = False
-        self.is_mispredicted_branch = False
+_N_CLASSES = len(OpClass)
+_LATENCY: Tuple[int, ...] = tuple(
+    FU_LATENCY[cls].latency for cls in OpClass)
+_PIPELINED: Tuple[bool, ...] = tuple(
+    FU_LATENCY[cls].pipelined for cls in OpClass)
+
+
+def _class_flags(cls: OpClass) -> int:
+    probe = MicroOp(0, 0, cls,
+                    mem_addr=0 if cls in (OpClass.LOAD, OpClass.STORE)
+                    else None,
+                    taken=False)
+    return ((_F_LOAD if probe.is_load else 0)
+            | (_F_STORE if probe.is_store else 0)
+            | (_F_MEM if probe.is_mem else 0)
+            | (_F_BRANCH if probe.is_branch else 0)
+            | (_F_FP if probe.is_fp else 0))
+
+
+_FLAGS: Tuple[int, ...] = tuple(_class_flags(cls) for cls in OpClass)
+#: FUClass *index* (int) per op class, matching funits' dispatch table
+_FU_OF: Tuple[int, ...] = tuple(
+    int(MicroOp(0, 0, cls,
+                mem_addr=0 if cls in (OpClass.LOAD, OpClass.STORE)
+                else None).fu_class)
+    for cls in OpClass)
+_FU_MEMBERS: Tuple[FUClass, ...] = tuple(FUClass)
+_MEM_PORT = int(FUClass.MEM_PORT)
+
+
+#: shared mask -> activity-tuple tables (identity-shared with DCG's
+#: verify tables, so its cross-check is a pointer comparison)
+_mask_table = activity_mask_table
 
 
 class Pipeline:
@@ -92,7 +152,6 @@ class Pipeline:
             btb_entries=config.btb_entries,
             btb_assoc=config.btb_assoc,
             ras_depth=config.ras_depth)
-        self.fupool = FUPool(config.fu_counts, policy=config.fu_policy)
         self.observers: List[CycleObserver] = []
         self.stats = SimStats()
         self.totals = UsageTotals()
@@ -101,8 +160,6 @@ class Pipeline:
         self._front_latency = depth.front_latency
         self._issue_to_execute = depth.issue_to_execute
         self._issue_to_mem = depth.issue_to_mem
-
-        # per-cycle loop constants, hoisted out of the hot path
         self._fetch_width = config.fetch_width
         self._commit_width = config.commit_width
         self._issue_width_cfg = config.issue_width
@@ -110,68 +167,184 @@ class Pipeline:
         self._window_size = config.window_size
         self._lsq_size = config.lsq_size
         self._writeback_depth = depth.writeback
-        self._rename_depth = depth.rename
         self._line_bytes = self.hierarchy.l1i.line_bytes
         self._l1i_hit_latency = self.hierarchy.config.l1i.hit_latency
         self._l1d_hit_latency = self.hierarchy.config.l1d.hit_latency
-        # latch one-hot delay offsets (§3.2): slots the issue count of
-        # cycle ``c - off`` clocks at cycle ``c``, per gated stage
+
         regread, execute, mem = depth.regread, depth.execute, depth.mem
-        self._rf_offsets = tuple(range(1, regread + 1))
-        self._ex_offsets = tuple(range(regread + 1, regread + execute + 1))
-        self._mem_offsets = tuple(range(regread + execute + 1,
-                                        regread + execute + mem + 1))
-        # issue-count history lives in a ring buffer: the deepest
-        # look-back is regread+execute+mem cycles, and each slot is
-        # rewritten before it can be read again
-        self._ring_size = regread + execute + mem + 1
-        self._issued_ring = [0] * self._ring_size
-        # per-class activity-mask rows: (class, all-False mask, indices)
-        self._fu_rows: Tuple[Tuple[FUClass, Tuple[bool, ...],
-                                   Tuple[int, ...]], ...] = tuple(
-            (cls, (False,) * count, tuple(range(count)))
-            for cls in _FU_EXEC_CLASSES
-            for count in (self.fupool.counts.get(cls, 0),))
+        self._rename_depth = depth.rename
+        # issued-count ring + sliding stage windows: the regread /
+        # execute / mem latch occupancies are contiguous windows over
+        # past issue counts, so each is updated incrementally from the
+        # cycle entering and the cycle leaving its window instead of
+        # being re-summed; _win_edges holds the four window boundaries
+        # as offsets behind the current cycle
+        self._win_edges = (1, 1 + regread, 1 + regread + execute,
+                           1 + regread + execute + mem)
+        isize = 1
+        while isize < regread + execute + mem + 2:
+            isize <<= 1
+        self._iring_mask = isize - 1
+        self._issued_ring = [0] * isize
+        self._rf_sum = 0
+        self._ex_sum = 0
+        self._mem_sum = 0
+
+        # event-ring horizon: the deepest calendar look-ahead is a load
+        # missing to main memory (absolute latency, Table 1 convention)
+        # plus issue depth and the +2 writeback/spill slack; unpipelined
+        # dividers and the deep-pipeline config stay far below it
+        hier = self.hierarchy.config
+        horizon = (max(hier.memory_latency, hier.l2.hit_latency,
+                       hier.l1d.hit_latency, 20)
+                   + self._issue_to_mem + depth.writeback + 8)
+        size = 1
+        while size < horizon:
+            size <<= 1
+        self._cal_size = size
+        self._cal_mask = size - 1
+        self._bus_ring: List[List[int]] = [[] for _ in range(size)]
+        self._other_ring: List[List[int]] = [[] for _ in range(size)]
+        self._resolve_ring: List[List[int]] = [[] for _ in range(size)]
+        self._pload_ring = [0] * size
+        self._pstore_ring = [0] * size
+
+        # functional units: per-class busy_until columns + activity
+        # bitmask rings + per-class mask->tuple tables
+        counts = dict(config.fu_counts)
+        self._fu_counts = counts
+        self._fu_busy: List[List[int]] = [
+            [-1] * counts.get(cls, 0) for cls in _FU_MEMBERS]
+        self._fu_len = [counts.get(cls, 0) for cls in _FU_MEMBERS]
+        self._fu_dis = [0] * len(_FU_MEMBERS)
+        self._fu_rr = [0] * len(_FU_MEMBERS)
+        self._sequential = (config.fu_policy
+                           is AllocationPolicy.SEQUENTIAL_PRIORITY)
+        self._act_rings: List[List[int]] = [
+            [0] * size for _ in _FU_MEMBERS]
+        self._exec_rows: Tuple[Tuple[FUClass, int, List[int],
+                                     Tuple[Tuple[bool, ...], ...],
+                                     int], ...] = \
+            tuple((cls, int(cls), self._act_rings[int(cls)],
+                   _mask_table(counts.get(cls, 0)), counts.get(cls, 0))
+                  for cls in _FU_EXEC_CLASSES)
+        #: reusable (class, active, capacity) rows handed to
+        #: UsageTotals.add so it never re-sums activity tuples
+        self._fu_counts_buf: List[Tuple[FUClass, int, int]] = \
+            [(cls, 0, 0) for cls in _FU_EXEC_CLASSES]
         self._last_cons: Optional[CycleConstraints] = None
+        #: constant-constraints fast path (base / DCG): fetch once,
+        #: skip the per-cycle constraints() call
+        self._static_cons: Optional[CycleConstraints] = (
+            policy.constraints(0) if getattr(
+                policy, "constraints_static", False) else None)
+
+        # op columns; slots recycled through the free list
+        cap = config.window_size + 256
+        self._cap = 0
+        self._cls: List[OpClass] = []
+        self._flags: List[int] = []
+        self._seq: List[int] = []
+        self._dest: List[int] = []
+        self._mem: List[int] = []
+        self._pc: List[int] = []
+        self._taken: List[bool] = []
+        self._btarget: List[Optional[int]] = []
+        self._ptaken: List[bool] = []
+        self._ptarget: List[Optional[int]] = []
+        self._ready: List[int] = []
+        self._unres: List[int] = []
+        self._icyc: List[int] = []
+        self._cons_ready: List[int] = []
+        self._done: List[int] = []
+        self._com: List[int] = []
+        self._wp: List[int] = []
+        self._sq: List[int] = []
+        #: 1 while the op sits in the resolve ring — a deep-regread
+        #: branch can commit before resolving, and its slot must not be
+        #: recycled under a live calendar reference
+        self._resq: List[int] = []
+        self._gen: List[int] = []
+        self._wait: List[List[int]] = []
+        #: pipetrace record of the op in each slot, while it is captured
+        self._rec: List[Optional[CapturedOp]] = []
+        self._free: List[int] = []
+        self._grow(cap)
 
         # machine state
         self.cycle = 0
-        self._window: Deque[InflightOp] = deque()
-        self._pending_issue: List[InflightOp] = []
-        self._frontend: Deque[_FrontendEntry] = deque()
+        self._window: Deque[int] = deque()
+        self._pending_issue: List[int] = []
+        self._frontend: Deque[tuple] = deque()
         self._frontend_cap = config.fetch_width * (self._front_latency + 2)
         self._lsq_count = 0
-        self._reg_producer: Dict[int, InflightOp] = {}
-        self._store_map: Dict[int, InflightOp] = {}
+        self._rp: List[int] = [-1] * 64          # register -> producer slot
+        self._store_map: Dict[int, int] = {}
 
-        # event calendars (cycle -> payload)
-        self._bus_complete: Dict[int, List[InflightOp]] = {}
-        self._other_complete: Dict[int, List[InflightOp]] = {}
-        self._resolve_at: Dict[int, List[InflightOp]] = {}
-        self._fu_activity: Dict[int, Dict[FUClass, Set[int]]] = {}
-        self._port_loads: Dict[int, int] = {}
-        self._port_stores: Dict[int, int] = {}
-
-        # fetch state
         self._fetch_blocked_until = 0
         self._fetch_frozen = False
         self._last_fetch_line = -1
 
-        # wrong-path modeling (config.model_wrong_path)
         self._wp_rng = random.Random(0x0D15EA5E)
         self._wp_active = False
         self._wp_pc = 0
         self._wp_seq = 0
         self._wp_dest = 0
         self._last_mem_addr = 0x1000_0000
-        self._checkpoint: Optional[Tuple[InflightOp,
-                                         Dict[int, InflightOp]]] = None
-
+        #: (branch slot, branch gen, rp snapshot, rp gen snapshot)
+        self._checkpoint: Optional[Tuple[int, int, List[int],
+                                         List[int]]] = None
         self._last_commit_cycle = 0
 
         # optional per-op capture for pipetrace rendering
         self._capture_limit = 0
-        self.captured_ops: List[InflightOp] = []
+        #: captured ops not yet committed or squashed
+        self._capture_live = 0
+        self.captured_ops: List[CapturedOp] = []
+
+    # ------------------------------------------------------------------
+    # slot management
+    # ------------------------------------------------------------------
+
+    def _grow(self, extra: int) -> None:
+        base = self._cap
+        self._cls.extend([OpClass.NOP] * extra)
+        self._flags.extend([0] * extra)
+        self._seq.extend([0] * extra)
+        self._dest.extend([-1] * extra)
+        self._mem.extend([0] * extra)
+        self._pc.extend([0] * extra)
+        self._taken.extend([False] * extra)
+        self._btarget.extend([None] * extra)
+        self._ptaken.extend([False] * extra)
+        self._ptarget.extend([None] * extra)
+        self._ready.extend([0] * extra)
+        self._unres.extend([0] * extra)
+        self._icyc.extend([-1] * extra)
+        self._cons_ready.extend([-1] * extra)
+        self._done.extend([0] * extra)
+        self._com.extend([0] * extra)
+        self._wp.extend([0] * extra)
+        self._sq.extend([0] * extra)
+        self._resq.extend([0] * extra)
+        self._gen.extend([0] * extra)
+        self._wait.extend([] for _ in range(extra))
+        self._rec.extend([None] * extra)
+        self._cap += extra
+        self._free.extend(range(self._cap - 1, base - 1, -1))
+
+    def _release(self, slot: int) -> None:
+        """Recycle ``slot`` unless the rename map still references it."""
+        dest = self._dest[slot]
+        if dest >= 0 and self._rp[dest] == slot:
+            return
+        waiters = self._wait[slot]
+        if waiters:
+            # squashed-before-issue producers can still hold waiters;
+            # those waiters are themselves squashed, so just drop them
+            waiters.clear()
+        self._gen[slot] += 1
+        self._free.append(slot)
 
     def add_observer(self, observer: CycleObserver) -> None:
         self.observers.append(observer)
@@ -182,6 +355,13 @@ class Pipeline:
         if limit < 0:
             raise ValueError("limit must be non-negative")
         self._capture_limit = limit
+
+    def _mark_complete(self, slots: List[int], c: int) -> None:
+        o_rec = self._rec
+        for s in slots:
+            rec = o_rec[s]
+            if rec is not None:
+                rec.complete_cycle = c
 
     # ------------------------------------------------------------------
     # top-level loop
@@ -211,430 +391,602 @@ class Pipeline:
         self.stats.finalize(self)
         return self.stats
 
+    # ------------------------------------------------------------------
+    # the fused per-cycle step
+    # ------------------------------------------------------------------
+
     def _step(self) -> None:
         c = self.cycle
-        cons = self.policy.constraints(c)
+        policy = self.policy
+        cons = self._static_cons
+        if cons is None:
+            cons = policy.constraints(c)
         if cons is not self._last_cons:
-            # policies return a cached constraints object per (piecewise-)
-            # constant regime, so the FU disable counts only need
-            # re-applying when the object changes (PLB mode switches)
-            self._apply_fu_constraints(cons)
+            disabled = cons.disabled_fus
+            fu_len = self._fu_len
+            fu_dis = self._fu_dis
+            for cls in _FU_EXEC_CLASSES:
+                count = disabled.get(cls, 0)
+                total = fu_len[cls]
+                if not 0 <= count <= total:
+                    raise ValueError(
+                        f"cannot disable {count} of {total} "
+                        f"{cls.name} units")
+                fu_dis[cls] = count
             self._last_cons = cons
-        usage = CycleUsage(cycle=c)
+        usage = CycleUsage(c)
+        stats = self.stats
+        mwp = self.config.model_wrong_path
+        cmask = self._cal_mask
+        cidx = c & cmask
+        capturing = self._capture_live > 0
 
-        if self._resolve_at:
-            self._do_resolve(c)
-        self._do_complete(c, cons, usage)
-        self._do_commit(c, cons, usage)
-        self._do_issue(c, cons, usage)
-        self._do_dispatch(c, cons, usage)
-        self._do_fetch(c, usage)
-        self._finish_cycle(c, usage)
+        o_done = self._done
+        o_com = self._com
+        o_sq = self._sq
+        o_flags = self._flags
+        o_dest = self._dest
+        o_ready = self._ready
+        o_unres = self._unres
+        o_icyc = self._icyc
+        o_cons = self._cons_ready
+        o_seq = self._seq
+        o_mem = self._mem
+        o_wp = self._wp
+        o_wait = self._wait
+        rp = self._rp
+        window = self._window
 
-        decision = self.policy.observe(usage)
-        for observer in self.observers:
-            observer(usage, decision)
-        self.totals.add(usage)
-        self.cycle = c + 1
+        # -- branch resolution ------------------------------------------
+        resolve_list = self._resolve_ring[cidx]
+        if resolve_list:
+            predictor_resolve = self.predictor.resolve
+            o_pc = self._pc
+            o_taken = self._taken
+            o_btarget = self._btarget
+            o_ptaken = self._ptaken
+            o_ptarget = self._ptarget
+            o_resq = self._resq
+            for s in resolve_list:
+                o_resq[s] = 0
+                mispredicted = predictor_resolve(
+                    o_pc[s], o_ptaken[s], o_ptarget[s],
+                    o_taken[s], o_btarget[s])
+                if mispredicted:
+                    stats.mispredicts += 1
+                    self._fetch_frozen = False
+                    blocked = c + self.config.mispredict_redirect
+                    if blocked > self._fetch_blocked_until:
+                        self._fetch_blocked_until = blocked
+                    if mwp:
+                        self._squash_wrong_path(s)
+                if o_com[s]:
+                    # deep-regread branch that committed before resolving;
+                    # its calendar reference just drained
+                    self._release(s)
+            resolve_list.clear()
 
-    def _apply_fu_constraints(self, cons: CycleConstraints) -> None:
-        for fu_class in _FU_EXEC_CLASSES:
-            self.fupool.set_disabled(
-                fu_class, cons.disabled_fus.get(fu_class, 0))
-
-    # ------------------------------------------------------------------
-    # branch resolution
-    # ------------------------------------------------------------------
-
-    def _do_resolve(self, c: int) -> None:
-        for op in self._resolve_at.pop(c, ()):
-            uop = op.uop
-            mispredicted = self.predictor.resolve(
-                uop.pc, op.predicted_taken, op.predicted_target,
-                uop.taken, uop.target)
-            op.mispredicted = mispredicted
-            if mispredicted:
-                self.stats.mispredicts += 1
-                self._fetch_frozen = False
-                self._fetch_blocked_until = max(
-                    self._fetch_blocked_until,
-                    c + self.config.mispredict_redirect)
-                if self.config.model_wrong_path:
-                    self._squash_wrong_path(op)
-
-    def _squash_wrong_path(self, branch: InflightOp) -> None:
-        """Discard everything fetched past a mispredicted branch and
-        restore the rename state captured when the branch dispatched."""
-        self._wp_active = False
-        if self._frontend:
-            # FIFO order guarantees anything behind the dispatched
-            # branch is wrong-path, but filter defensively
-            self._frontend = deque(e for e in self._frontend
-                                   if not e.wrong_path)
-        while self._window and self._window[-1].wrong_path:
-            op = self._window.pop()
-            op.squashed = True
-            self.stats.wrong_path_squashed += 1
-            if op.uop.is_mem:
-                self._lsq_count -= 1
-        if self._pending_issue and any(op.squashed
-                                       for op in self._pending_issue):
-            self._pending_issue = [op for op in self._pending_issue
-                                   if not op.squashed]
-        if self._checkpoint is not None:
-            chk_branch, producers = self._checkpoint
-            if chk_branch is branch:
-                self._reg_producer = producers
-                self._checkpoint = None
-
-    # ------------------------------------------------------------------
-    # completion / writeback
-    # ------------------------------------------------------------------
-
-    def _do_complete(self, c: int, cons: CycleConstraints,
-                     usage: CycleUsage) -> None:
-        model_wrong_path = self.config.model_wrong_path
-        bus_writers = self._bus_complete.pop(c, ())
-        if bus_writers:
-            if model_wrong_path:
-                bus_writers = [op for op in bus_writers if not op.squashed]
-            if len(bus_writers) > cons.result_buses:
-                # more results than enabled buses: spill the excess to the
-                # next cycle (PLB's disabled result buses cause this)
-                overflow = bus_writers[cons.result_buses:]
-                bus_writers = bus_writers[:cons.result_buses]
-                self._bus_complete.setdefault(c + 1, []).extend(overflow)
-            for op in bus_writers:
-                op.completed = True
-                op.complete_cycle = c
-        others = self._other_complete.pop(c, ())
-        if others:
-            if model_wrong_path:
-                others = [op for op in others if not op.squashed]
-            for op in others:
-                op.completed = True
-                op.complete_cycle = c
-        buses_used = len(bus_writers)
+        # -- completion / writeback -------------------------------------
+        bus_list = self._bus_ring[cidx]
+        buses_used = 0
+        if bus_list:
+            writers = bus_list
+            if mwp:
+                writers = []
+                for s in bus_list:
+                    if o_sq[s]:
+                        self._release(s)
+                    else:
+                        writers.append(s)
+            n_buses = cons.result_buses
+            if len(writers) > n_buses:
+                self._bus_ring[(c + 1) & cmask].extend(writers[n_buses:])
+                writers = writers[:n_buses]
+            for s in writers:
+                o_done[s] = 1
+            if capturing:
+                self._mark_complete(writers, c)
+            buses_used = len(writers)
+            bus_list.clear()
+        other_list = self._other_ring[cidx]
+        if other_list:
+            for s in other_list:
+                if mwp and o_sq[s]:
+                    self._release(s)
+                else:
+                    o_done[s] = 1
+            if capturing:
+                # squashed slots dropped their record at squash time
+                self._mark_complete(other_list, c)
+            other_list.clear()
         usage.result_bus_used = buses_used
-        # only result-carrying ops clock the writeback latches; stores
-        # and resolved branches complete through ROB bookkeeping alone
         usage.latch_slots["writeback"] = buses_used * self._writeback_depth
 
-    # ------------------------------------------------------------------
-    # commit
-    # ------------------------------------------------------------------
-
-    def _do_commit(self, c: int, cons: CycleConstraints,
-                   usage: CycleUsage) -> None:
+        # -- commit ------------------------------------------------------
         committed = 0
-        window = self._window
         if window:
             commit_width = self._commit_width
-            stats = self.stats
             commit_counts = stats.commit_class_counts
-            port_loads = self._port_loads
-            port_stores = self._port_stores
             store_map = self._store_map
-            reg_producer = self._reg_producer
+            o_cls = self._cls
+            pstore_ring = self._pstore_ring
+            pload_ring = self._pload_ring
+            hierarchy_store = self.hierarchy.store
+            store_delay = cons.store_extra_delay
+            dcache_ports = cons.dcache_ports
+            free = self._free
+            gens = self._gen
+            o_resq = self._resq
             while window and committed < commit_width:
-                op = window[0]
-                if not op.completed:
+                s = window[0]
+                if not o_done[s]:
                     break
-                uop = op.uop
-                if uop.is_store:
-                    access_cycle = c + cons.store_extra_delay
-                    stores_now = port_stores.get(access_cycle, 0)
-                    used = port_loads.get(access_cycle, 0) + stores_now
-                    if used >= cons.dcache_ports:
-                        break  # no D-cache port for the store this cycle
-                    port_stores[access_cycle] = stores_now + 1
-                    self.hierarchy.store(uop.mem_addr)
+                flags = o_flags[s]
+                if flags & _F_STORE:
+                    aidx = (c + store_delay) & cmask
+                    stores_now = pstore_ring[aidx]
+                    if pload_ring[aidx] + stores_now >= dcache_ports:
+                        break
+                    pstore_ring[aidx] = stores_now + 1
+                    addr = o_mem[s]
+                    hierarchy_store(addr)
                     stats.stores += 1
-                    if store_map.get(uop.mem_addr) is op:
-                        del store_map[uop.mem_addr]
+                    if store_map.get(addr) == s:
+                        del store_map[addr]
                 window.popleft()
-                op.committed = True
-                op.commit_cycle = c
+                o_com[s] = 1
                 committed += 1
                 stats.committed += 1
-                commit_counts[uop.op_class] += 1
-                if uop.is_mem:
+                commit_counts[o_cls[s]] += 1
+                if flags & _F_MEM:
                     self._lsq_count -= 1
-                dest = uop.dest
-                if dest is not None and reg_producer.get(dest) is op:
-                    del reg_producer[dest]
+                dest = o_dest[s]
+                if dest >= 0 and rp[dest] == s:
+                    rp[dest] = -1
+                if capturing:
+                    rec = self._rec[s]
+                    if rec is not None:
+                        rec.commit_cycle = c
+                        self._rec[s] = None
+                        self._capture_live -= 1
+                if o_resq[s]:
+                    continue  # unresolved branch: freed at resolve drain
+                gens[s] += 1
+                free.append(s)
             if committed:
                 self._last_commit_cycle = c
         usage.committed = committed
 
-    # ------------------------------------------------------------------
-    # issue (wakeup / select)
-    # ------------------------------------------------------------------
-
-    def _do_issue(self, c: int, cons: CycleConstraints,
-                  usage: CycleUsage) -> None:
+        # -- issue (wakeup / select) ------------------------------------
         pending = self._pending_issue
         issued = 0
         if pending:
             width = cons.issue_width
             if self._issue_width_cfg < width:
                 width = self._issue_width_cfg
-            # single select pass: the kept-ops list is only built from
-            # the first successful issue on, so a cycle that issues
-            # nothing costs one scan and no allocation
-            keep: Optional[List[InflightOp]] = None
-            for i, op in enumerate(pending):
+            i2e = self._issue_to_execute
+            i2m = self._issue_to_mem
+            fu_busy = self._fu_busy
+            fu_len = self._fu_len
+            fu_dis = self._fu_dis
+            sequential = self._sequential
+            act_rings = self._act_rings
+            bus_ring = self._bus_ring
+            other_ring = self._other_ring
+            grants = usage.grants
+            pload_ring = self._pload_ring
+            pstore_ring = self._pstore_ring
+            store_map = self._store_map
+            keep: Optional[List[int]] = None
+            for i, s in enumerate(pending):
                 if issued >= width:
                     if keep is not None:
                         keep.extend(pending[i:])
                     break
-                if (op.issued_cycle is None and op.unresolved == 0
-                        and op.ready_cycle <= c
-                        and self._try_issue_one(op, c, cons, usage)):
+                ok = False
+                if o_icyc[s] < 0 and o_unres[s] == 0 and o_ready[s] <= c:
+                    flags = o_flags[s]
+                    cls = self._cls[s]
+                    if not flags & _F_MEM:
+                        # execution / branch / nop issue
+                        latency = _LATENCY[cls]
+                        ex_start = c + i2e
+                        fu = _FU_OF[cls]
+                        unit = self._allocate(fu, cls, ex_start)
+                        if unit >= 0:
+                            ring = act_rings[fu]
+                            bit = 1 << unit
+                            for cc in range(ex_start, ex_start + latency):
+                                ring[cc & cmask] |= bit
+                            grants.append((_FU_MEMBERS[fu], unit, latency))
+                            o_icyc[s] = c
+                            consumer_ready = c + latency
+                            o_cons[s] = consumer_ready
+                            waiters = o_wait[s]
+                            if waiters:
+                                for w in waiters:
+                                    o_unres[w] -= 1
+                                    if consumer_ready > o_ready[w]:
+                                        o_ready[w] = consumer_ready
+                                waiters.clear()
+                            complete = (c + 1 + latency) & cmask
+                            if o_dest[s] >= 0:
+                                bus_ring[complete].append(s)
+                            else:
+                                other_ring[complete].append(s)
+                            if flags & _F_BRANCH:
+                                self._resq[s] = 1
+                                self._resolve_ring[
+                                    ex_start & cmask].append(s)
+                            if flags & _F_FP:
+                                usage.issued_fp += 1
+                            ok = True
+                    elif flags & _F_LOAD:
+                        addr = o_mem[s]
+                        st = store_map.get(addr)
+                        forwarding = -1
+                        blocked = False
+                        if (st is not None and o_seq[st] < o_seq[s]
+                                and not o_com[st]):
+                            if o_icyc[st] < 0:
+                                blocked = True  # older store not issued
+                            else:
+                                forwarding = st
+                        if not blocked:
+                            midx = (c + i2m) & cmask
+                            loads_now = pload_ring[midx]
+                            if (loads_now + pstore_ring[midx]
+                                    < cons.dcache_ports):
+                                unit = self._allocate(
+                                    _MEM_PORT, cls, c + i2m)
+                                if unit >= 0:
+                                    pload_ring[midx] = loads_now + 1
+                                    self._last_mem_addr = addr
+                                    raw = self.hierarchy.load(addr)
+                                    if forwarding >= 0:
+                                        data_ready = o_icyc[forwarding] + i2e
+                                        ready = c + 1 + self._l1d_hit_latency
+                                        if data_ready + 1 > ready:
+                                            ready = data_ready + 1
+                                        stats.forwarded_loads += 1
+                                    else:
+                                        ready = c + 1 + raw
+                                    o_icyc[s] = c
+                                    o_cons[s] = ready
+                                    waiters = o_wait[s]
+                                    if waiters:
+                                        for w in waiters:
+                                            o_unres[w] -= 1
+                                            if ready > o_ready[w]:
+                                                o_ready[w] = ready
+                                        waiters.clear()
+                                    bus_ring[
+                                        (ready + 1) & cmask].append(s)
+                                    usage.issued_loads += 1
+                                    stats.loads += 1
+                                    ok = True
+                    else:
+                        # store: address/data generation, access at commit
+                        unit = self._allocate(_MEM_PORT, cls, c + i2m)
+                        if unit >= 0:
+                            o_icyc[s] = c
+                            consumer_ready = c + 1
+                            o_cons[s] = consumer_ready
+                            waiters = o_wait[s]
+                            if waiters:
+                                for w in waiters:
+                                    o_unres[w] -= 1
+                                    if consumer_ready > o_ready[w]:
+                                        o_ready[w] = consumer_ready
+                                waiters.clear()
+                            other_ring[(c + i2e) & cmask].append(s)
+                            usage.issued_stores += 1
+                            ok = True
+                if ok:
                     issued += 1
+                    if capturing:
+                        rec = self._rec[s]
+                        if rec is not None:
+                            rec.issued_cycle = c
                     if keep is None:
                         keep = pending[:i]
                 elif keep is not None:
-                    keep.append(op)
+                    keep.append(s)
             if keep is not None:
                 self._pending_issue = keep
         usage.issued = issued
-        self._issued_ring[c % self._ring_size] = issued
 
-    def _try_issue_one(self, op: InflightOp, c: int,
-                       cons: CycleConstraints, usage: CycleUsage) -> bool:
-        uop = op.uop
-        if uop.is_load:
-            return self._issue_load(op, c, cons, usage)
-        if uop.is_store:
-            return self._issue_store(op, c, usage)
-        return self._issue_exec(op, c, usage)
-
-    def _issue_exec(self, op: InflightOp, c: int, usage: CycleUsage) -> bool:
-        uop = op.uop
-        spec = FU_LATENCY[uop.op_class]
-        ex_start = c + self._issue_to_execute
-        unit = self.fupool.try_allocate(uop.op_class, ex_start)
-        if unit is None:
-            return False
-        latency = spec.latency
-        fu_class = unit.fu_class
-        index = unit.index
-        activity = self._fu_activity
-        for cc in range(ex_start, ex_start + latency):
-            per_cycle = activity.get(cc)
-            if per_cycle is None:
-                activity[cc] = {fu_class: {index}}
-            else:
-                claimed = per_cycle.get(fu_class)
-                if claimed is None:
-                    per_cycle[fu_class] = {index}
-                else:
-                    claimed.add(index)
-        usage.grants.append((fu_class, index, latency))
-        op.issued_cycle = c
-        op.schedule(c + latency)
-        complete = c + 1 + latency
-        calendar = (self._bus_complete if uop.dest is not None
-                    else self._other_complete)
-        waiting = calendar.get(complete)
-        if waiting is None:
-            calendar[complete] = [op]
-        else:
-            waiting.append(op)
-        if uop.is_branch:
-            resolve = self._resolve_at
-            waiting = resolve.get(ex_start)
-            if waiting is None:
-                resolve[ex_start] = [op]
-            else:
-                waiting.append(op)
-        if uop.is_fp:
-            usage.issued_fp += 1
-        return True
-
-    def _issue_load(self, op: InflightOp, c: int, cons: CycleConstraints,
-                    usage: CycleUsage) -> bool:
-        uop = op.uop
-        addr = uop.mem_addr
-        store = self._store_map.get(addr)
-        forwarding_from: Optional[InflightOp] = None
-        if store is not None and store.seq < op.seq and not store.committed:
-            if not store.issued:
-                return False  # wait for the older store's address/data
-            forwarding_from = store
-        mem_cycle = c + self._issue_to_mem
-        port_loads = self._port_loads
-        loads_now = port_loads.get(mem_cycle, 0)
-        port_used = loads_now + self._port_stores.get(mem_cycle, 0)
-        if port_used >= cons.dcache_ports:
-            return False
-        if self.fupool.try_allocate(uop.op_class, mem_cycle) is None:
-            return False  # all memory-issue ports busy
-        port_loads[mem_cycle] = loads_now + 1
-        self._last_mem_addr = addr
-        raw_latency = self.hierarchy.load(addr)
-        hit_latency = self._l1d_hit_latency
-        if forwarding_from is not None:
-            data_ready = (forwarding_from.issued_cycle
-                          + self._issue_to_execute)
-            latency = hit_latency
-            ready = max(c + 1 + latency, data_ready + 1)
-            op.forwarded = True
-            self.stats.forwarded_loads += 1
-        else:
-            latency = raw_latency
-            ready = c + 1 + latency
-        op.mem_latency = latency
-        op.issued_cycle = c
-        op.schedule(ready)
-        self._bus_complete.setdefault(ready + 1, []).append(op)
-        usage.issued_loads += 1
-        self.stats.loads += 1
-        return True
-
-    def _issue_store(self, op: InflightOp, c: int, usage: CycleUsage) -> bool:
-        # stores compute address+data in EX and wait in the LSQ; the
-        # cache access happens at commit
-        mem_cycle = c + self._issue_to_mem
-        if self.fupool.try_allocate(op.uop.op_class, mem_cycle) is None:
-            return False
-        op.issued_cycle = c
-        op.schedule(c + 1)  # stores produce no register value
-        self._other_complete.setdefault(
-            c + self._issue_to_execute, []).append(op)
-        usage.issued_stores += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # dispatch (rename -> window)
-    # ------------------------------------------------------------------
-
-    def _do_dispatch(self, c: int, cons: CycleConstraints,
-                     usage: CycleUsage) -> None:
+        # -- dispatch (rename -> window) --------------------------------
         dispatched = 0
         frontend = self._frontend
         if frontend:
             width = self._decode_width
             if cons.rename_width < width:
                 width = cons.rename_width
-            window = self._window
             window_size = self._window_size
             lsq_size = self._lsq_size
-            reg_producer = self._reg_producer
-            pending_issue = self._pending_issue
-            capturing = len(self.captured_ops) < self._capture_limit
+            pending = self._pending_issue
+            free = self._free
+            o_cls = self._cls
+            gens = self._gen
+            capture_room = self._capture_limit - len(self.captured_ops)
             next_ready = c + 1
             while (frontend and dispatched < width
                    and len(window) < window_size):
                 entry = frontend[0]
-                if entry.ready_cycle > c:
+                uop = entry[0]
+                if entry[1] > c:
                     break
-                uop = entry.uop
-                if uop.is_mem and self._lsq_count >= lsq_size:
+                is_mem = uop.is_mem
+                if is_mem and self._lsq_count >= lsq_size:
                     break
                 frontend.popleft()
-                op = InflightOp(uop, c)
-                op.ready_cycle = next_ready
-                op.wrong_path = entry.wrong_path
-                if uop.is_branch:
-                    op.predicted_taken, op.predicted_target = entry.prediction
-                    if entry.is_mispredicted_branch:
-                        # checkpoint the rename map so the wrong path the
-                        # fetch stage is about to inject can be undone
-                        self._checkpoint = (op, dict(reg_producer))
+                if not free:
+                    self._grow(self._cap)
+                    free = self._free
+                s = free.pop()
+                op_class = uop.op_class
+                o_cls[s] = op_class
+                flags = _FLAGS[op_class]
+                o_flags[s] = flags
+                o_seq[s] = uop.seq
+                dest = uop.dest
+                o_dest[s] = -1 if dest is None else dest
+                o_ready[s] = next_ready
+                o_unres[s] = 0
+                o_icyc[s] = -1
+                o_cons[s] = -1
+                o_done[s] = 0
+                o_com[s] = 0
+                if mwp:
+                    # wrong-path/squash marks are only ever read by the
+                    # squash machinery, which exists only under
+                    # model_wrong_path
+                    o_wp[s] = entry[4]
+                    o_sq[s] = 0
+                if flags & _F_BRANCH:
+                    self._pc[s] = uop.pc
+                    self._taken[s] = uop.taken
+                    self._btarget[s] = uop.target
+                    self._ptaken[s] = entry[2]
+                    self._ptarget[s] = entry[3]
+                    if entry[5]:
+                        # checkpoint the rename map (plus generations, so
+                        # recycled slots are dropped at restore)
+                        self._checkpoint = (
+                            s, gens[s], rp[:],
+                            [gens[p] if p >= 0 else 0 for p in rp])
                 for src in uop.srcs:
-                    producer = reg_producer.get(src)
-                    if producer is not None and not producer.committed:
-                        op.add_producer(producer)
-                if uop.dest is not None:
-                    reg_producer[uop.dest] = op
-                if uop.is_mem:
+                    p = rp[src]
+                    if p >= 0 and not o_com[p]:
+                        consumer_ready = o_cons[p]
+                        if consumer_ready >= 0:
+                            if consumer_ready > o_ready[s]:
+                                o_ready[s] = consumer_ready
+                        else:
+                            o_unres[s] += 1
+                            o_wait[p].append(s)
+                if dest is not None:
+                    rp[dest] = s
+                if is_mem:
                     self._lsq_count += 1
-                    if uop.is_store:
-                        self._store_map[uop.mem_addr] = op
-                window.append(op)
-                pending_issue.append(op)
-                if capturing and len(self.captured_ops) < self._capture_limit:
-                    self.captured_ops.append(op)
+                    addr = uop.mem_addr
+                    o_mem[s] = addr
+                    if flags & _F_STORE:
+                        self._store_map[addr] = s
+                window.append(s)
+                pending.append(s)
+                if capture_room > 0:
+                    rec = CapturedOp(uop, c, entry[4])
+                    self.captured_ops.append(rec)
+                    self._rec[s] = rec
+                    self._capture_live += 1
+                    capture_room -= 1
                 dispatched += 1
         usage.dispatched = dispatched
         usage.renamed = dispatched
 
-    # ------------------------------------------------------------------
-    # fetch
-    # ------------------------------------------------------------------
-
-    def _do_fetch(self, c: int, usage: CycleUsage) -> None:
+        # -- fetch -------------------------------------------------------
         if self._fetch_frozen or c < self._fetch_blocked_until:
             if (self._wp_active and not (c < self._fetch_blocked_until)
-                    and self.config.model_wrong_path):
+                    and mwp):
                 self._fetch_wrong_path(c, usage)
             else:
                 usage.fetch_stalled = True
-            return
-        fetched = 0
-        line_bytes = self._line_bytes
-        stream = self.stream
-        frontend = self._frontend
-        fetch_width = self._fetch_width
-        cap = self._frontend_cap
-        ready = c + self._front_latency
-        while fetched < fetch_width and len(frontend) < cap:
-            uop = stream.peek()
-            if uop is None:
-                break
-            line = uop.pc // line_bytes
-            if line != self._last_fetch_line:
-                latency = self.hierarchy.fetch(uop.pc)
-                self._last_fetch_line = line
-                if latency > self._l1i_hit_latency:
-                    self._fetch_blocked_until = c + latency
-                    break
-            uop = stream.next()
-            entry = _FrontendEntry(uop, ready)
-            frontend.append(entry)
-            fetched += 1
-            self.stats.fetched += 1
-            if uop.is_branch:
-                stop = self._fetch_branch(uop, entry)
-                if stop:
-                    break
-        usage.fetched = fetched
-        usage.decoded = fetched  # decode keeps pace with fetch
-        if fetched == 0:
-            usage.fetch_stalled = True
+        else:
+            fetched = 0
+            line_bytes = self._line_bytes
+            stream = self.stream
+            fetch_width = self._fetch_width
+            cap = self._frontend_cap
+            ready = c + self._front_latency
+            last_line = self._last_fetch_line
+            predictor_predict = self.predictor.predict
+            while fetched < fetch_width and len(frontend) < cap:
+                # inlined stream.peek()
+                uop = stream._lookahead
+                if uop is None:
+                    stream._fill()
+                    uop = stream._lookahead
+                    if uop is None:
+                        break
+                pc = uop.pc
+                line = pc // line_bytes
+                if line != last_line:
+                    latency = self.hierarchy.fetch(pc)
+                    last_line = line
+                    if latency > self._l1i_hit_latency:
+                        self._fetch_blocked_until = c + latency
+                        break
+                # inlined stream.next() (lookahead is known non-None)
+                stream._lookahead = None
+                stream._delivered += 1
+                fetched += 1
+                stats.fetched += 1
+                if uop.is_branch:
+                    predicted_taken, predicted_target = \
+                        predictor_predict(pc)
+                    taken = uop.taken
+                    mispredicted = (
+                        predicted_taken != taken
+                        or (taken and predicted_target != uop.target))
+                    frontend.append((uop, ready, predicted_taken,
+                                     predicted_target, False,
+                                     mispredicted and mwp))
+                    if mispredicted:
+                        self._fetch_frozen = True
+                        if mwp:
+                            self._wp_active = True
+                            self._wp_pc = (
+                                predicted_target
+                                if predicted_taken
+                                and predicted_target is not None
+                                else pc + 4)
+                            self._wp_seq = uop.seq + 1
+                        break
+                    if taken:
+                        break
+                else:
+                    frontend.append((uop, ready, False, None, False,
+                                     False))
+            self._last_fetch_line = last_line
+            usage.fetched = fetched
+            usage.decoded = fetched
+            if fetched == 0:
+                usage.fetch_stalled = True
 
-    def _fetch_branch(self, uop: MicroOp, entry: _FrontendEntry) -> bool:
-        """Predict a fetched branch; returns True when fetch must stop
-        (taken branch ends the fetch block; mispredict freezes fetch)."""
-        predicted_taken, predicted_target = self.predictor.predict(uop.pc)
-        mispredicted = (predicted_taken != uop.taken
-                        or (uop.taken and predicted_target != uop.target))
-        entry.prediction = (predicted_taken, predicted_target)
-        if mispredicted:
-            self._fetch_frozen = True
-            if self.config.model_wrong_path:
-                entry.is_mispredicted_branch = True
-                self._wp_active = True
-                # the path the front end believes in: the predicted
-                # target if it predicted taken, else the fall-through
-                self._wp_pc = (predicted_target if predicted_taken
-                               and predicted_target is not None
-                               else uop.pc + 4)
-                self._wp_seq = uop.seq + 1
-            return True
-        return uop.taken
+        # -- per-cycle bookkeeping --------------------------------------
+        ring = self._issued_ring
+        im = self._iring_mask
+        e1, e2, e3, e4 = self._win_edges
+        a = ring[(c - e1) & im]
+        b = ring[(c - e2) & im]
+        d = ring[(c - e3) & im]
+        e = ring[(c - e4) & im]
+        rf = self._rf_sum = self._rf_sum + a - b
+        ex = self._ex_sum = self._ex_sum + b - d
+        mem = self._mem_sum = self._mem_sum + d - e
+        ring[c & im] = issued
+        latch_slots = usage.latch_slots
+        latch_slots["regread"] = rf
+        latch_slots["execute"] = ex
+        latch_slots["mem"] = mem
+        latch_slots["rename"] = dispatched * self._rename_depth
+
+        fu_active = usage.fu_active
+        fu_counts = self._fu_counts_buf
+        row_i = 0
+        for fu_cls, fu_idx, act_ring, table, capacity in self._exec_rows:
+            bits = act_ring[cidx]
+            if bits:
+                act_ring[cidx] = 0
+            fu_active[fu_cls] = table[bits]
+            fu_counts[row_i] = (fu_cls, bits.bit_count(), capacity)
+            row_i += 1
+        usage.dcache_load_ports = self._pload_ring[cidx]
+        self._pload_ring[cidx] = 0
+        usage.dcache_store_ports = self._pstore_ring[cidx]
+        self._pstore_ring[cidx] = 0
+        usage.window_occupancy = len(window)
+        usage.lsq_occupancy = self._lsq_count
+        stats.cycles = c + 1
+
+        decision = policy.observe(usage)
+        for observer in self.observers:
+            observer(usage, decision)
+        self.totals.add(usage, fu_counts)
+        self.cycle = c + 1
+
+    # ------------------------------------------------------------------
+    # functional-unit allocation
+    # ------------------------------------------------------------------
+
+    def _allocate(self, fu: int, cls: OpClass, cycle: int) -> int:
+        """Allocate an instance of class index ``fu`` starting at
+        ``cycle``; returns the unit index or -1 (all enabled busy)."""
+        limit = self._fu_len[fu] - self._fu_dis[fu]
+        if limit <= 0:
+            return -1
+        busy = self._fu_busy[fu]
+        hold = (cycle if _PIPELINED[cls]
+                else cycle + _LATENCY[cls] - 1)
+        if self._sequential:
+            for i in range(limit):
+                if busy[i] < cycle:
+                    busy[i] = hold
+                    return i
+            return -1
+        start = self._fu_rr[fu] % limit
+        for i in range(start, limit):
+            if busy[i] < cycle:
+                busy[i] = hold
+                self._fu_rr[fu] = i + 1
+                return i
+        for i in range(start):
+            if busy[i] < cycle:
+                busy[i] = hold
+                self._fu_rr[fu] = i + 1
+                return i
+        return -1
+
+    # ------------------------------------------------------------------
+    # wrong-path modeling
+    # ------------------------------------------------------------------
+
+    def _squash_wrong_path(self, branch_slot: int) -> None:
+        self._wp_active = False
+        if self._frontend:
+            self._frontend = deque(e for e in self._frontend if not e[4])
+        window = self._window
+        o_wp = self._wp
+        o_sq = self._sq
+        stats = self.stats
+        popped: List[int] = []
+        o_rec = self._rec
+        while window and o_wp[window[-1]]:
+            s = window.pop()
+            o_sq[s] = 1
+            rec = o_rec[s]
+            if rec is not None:
+                rec.squashed = True
+                o_rec[s] = None
+                self._capture_live -= 1
+            stats.wrong_path_squashed += 1
+            if self._flags[s] & _F_MEM:
+                self._lsq_count -= 1
+            popped.append(s)
+        pending = self._pending_issue
+        if pending and any(o_sq[s] for s in pending):
+            self._pending_issue = [s for s in pending if not o_sq[s]]
+        checkpoint = self._checkpoint
+        if checkpoint is not None:
+            chk_slot, chk_gen, saved_rp, saved_gen = checkpoint
+            if chk_slot == branch_slot and chk_gen == self._gen[branch_slot]:
+                rp = self._rp
+                gens = self._gen
+                o_com = self._com
+                for reg in range(len(rp)):
+                    p = saved_rp[reg]
+                    if p >= 0 and (gens[p] != saved_gen[reg] or o_com[p]):
+                        p = -1
+                    rp[reg] = p
+                self._checkpoint = None
+        # unissued ops have no calendar reference; completed ones have
+        # drained theirs — both free now.  Issued-but-incomplete ops
+        # free when their completion-ring entry is filtered.
+        o_icyc = self._icyc
+        o_done = self._done
+        for s in popped:
+            if o_icyc[s] < 0 or o_done[s]:
+                self._release(s)
 
     def _fetch_wrong_path(self, c: int, usage: CycleUsage) -> None:
-        """Inject synthetic wrong-path micro-ops while a mispredicted
-        branch is unresolved.  They fetch, decode, dispatch, and issue
-        like real work — burning front-end bandwidth and back-end
-        resources — and are squashed at resolution."""
         fetched = 0
         line_bytes = self._line_bytes
+        frontend = self._frontend
+        ready = c + self._front_latency
         while (fetched < self._fetch_width
-               and len(self._frontend) < self._frontend_cap):
+               and len(frontend) < self._frontend_cap):
             line = self._wp_pc // line_bytes
             if line != self._last_fetch_line:
                 latency = self.hierarchy.fetch(self._wp_pc)
@@ -643,9 +995,7 @@ class Pipeline:
                     self._fetch_blocked_until = c + latency
                     break
             uop = self._synth_wrong_path_op()
-            entry = _FrontendEntry(uop, c + self._front_latency)
-            entry.wrong_path = True
-            self._frontend.append(entry)
+            frontend.append((uop, ready, False, None, True, False))
             fetched += 1
             self.stats.wrong_path_fetched += 1
         usage.fetched = fetched
@@ -661,52 +1011,7 @@ class Pipeline:
         dest = 20 + (self._wp_dest % 8)
         self._wp_dest += 1
         if self._wp_rng.random() < 0.25:
-            # wrong-path loads pollute the D-cache near recent traffic
             offset = 8 * self._wp_rng.randrange(-64, 64)
             addr = max(0, (self._last_mem_addr & ~7) + offset)
             return MicroOp(seq, pc, OpClass.LOAD, dest=dest, mem_addr=addr)
         return MicroOp(seq, pc, OpClass.IALU, dest=dest)
-
-    # ------------------------------------------------------------------
-    # per-cycle bookkeeping
-    # ------------------------------------------------------------------
-
-    def _finish_cycle(self, c: int, usage: CycleUsage) -> None:
-        # gated-stage latch usage from the delayed issue one-hots; the
-        # ring holds the last ring_size issue counts and unwritten slots
-        # are still zero, matching the "before cycle 0" ground state
-        ring = self._issued_ring
-        size = self._ring_size
-        rf = 0
-        for off in self._rf_offsets:
-            rf += ring[(c - off) % size]
-        ex = 0
-        for off in self._ex_offsets:
-            ex += ring[(c - off) % size]
-        mem = 0
-        for off in self._mem_offsets:
-            mem += ring[(c - off) % size]
-        latch_slots = usage.latch_slots
-        latch_slots["regread"] = rf
-        latch_slots["execute"] = ex
-        latch_slots["mem"] = mem
-        latch_slots["rename"] = usage.renamed * self._rename_depth
-
-        activity = self._fu_activity.pop(c, None)
-        fu_active = usage.fu_active
-        if activity is None:
-            for fu_class, all_idle, _indices in self._fu_rows:
-                fu_active[fu_class] = all_idle
-        else:
-            for fu_class, all_idle, indices in self._fu_rows:
-                claimed = activity.get(fu_class)
-                if claimed is None:
-                    fu_active[fu_class] = all_idle
-                else:
-                    fu_active[fu_class] = tuple(
-                        i in claimed for i in indices)
-        usage.dcache_load_ports = self._port_loads.pop(c, 0)
-        usage.dcache_store_ports = self._port_stores.pop(c, 0)
-        usage.window_occupancy = len(self._window)
-        usage.lsq_occupancy = self._lsq_count
-        self.stats.cycles = c + 1

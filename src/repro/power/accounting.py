@@ -68,10 +68,8 @@ class FamilyEnergy:
 class PowerAccountant:
     """Accumulates energy over a run.
 
-    Use as a pipeline observer::
-
-        accountant = PowerAccountant(BlockPowers(config))
-        pipeline.add_observer(accountant.observe)
+    Its :meth:`observe` is a pipeline observer;
+    :func:`~repro.sim.simulator.assemble_run` attaches it to every run.
     """
 
     def __init__(self, blocks: BlockPowers) -> None:

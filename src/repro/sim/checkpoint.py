@@ -1,11 +1,10 @@
 """Versioned, fingerprinted simulator checkpoints.
 
 A checkpoint is a snapshot of a paused simulation — the whole pipeline
-object graph (either backend's: the object core's in-flight records or
-the arraycore's columns and rings), the power accountant hanging off
+object graph (its columns and rings), the power accountant hanging off
 its observer list, and the trace position — from which
 :class:`PausableRun.resume` continues **bit-identically** to an
-uninterrupted run.  Two properties of the cycle cores make that exact
+uninterrupted run.  Two properties of the cycle core make that exact
 rather than approximate:
 
 * ``Pipeline.run(max_instructions=N)`` stops purely on the committed
@@ -36,19 +35,16 @@ import pickle
 from typing import Any, Dict, Optional
 
 from ..obs.events import get_journal
-from ..pipeline.arraycore import ArrayPipeline
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import Pipeline
 from ..pipeline.stats import SimStats
-from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .cache import fingerprint
 from .configs import baseline_config, config_from_tag, default_instructions
-from .simulator import SimulationResult, build_result, make_policy, \
-    resolve_backend
+from .simulator import SimulationResult, assemble_run, build_result, \
+    make_policy
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
            "PausableRun", "SimulationInterrupted", "checkpoint_chunk",
@@ -64,8 +60,9 @@ CHUNK_ENV_VAR = "REPRO_CHECKPOINT_CHUNK"
 DEFAULT_CHUNK = 250_000
 
 #: bump when the snapshot state schema changes; older files then read
-#: back as misses instead of unpickling into a surprise
-CHECKPOINT_VERSION = 1
+#: back as misses instead of unpickling into a surprise (v2: one cycle
+#: core, no ``backend`` key)
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"REPROCKPT1\n"
 
@@ -246,17 +243,16 @@ class PausableRun:
     """A full (non-sampled) simulation that can pause, snapshot, and
     resume bit-identically.
 
-    Construction mirrors :meth:`Simulator._run` exactly — same
-    generator/stream wiring, same prewarm, same accountant attachment —
+    Assembled by :func:`~repro.sim.simulator.assemble_run` from the same
+    generator/stream wiring and prewarm as ``Simulator.run_benchmark``,
     so a :class:`PausableRun` driven straight to the end produces the
-    same :class:`SimulationResult` as ``Simulator.run_benchmark``.
+    same :class:`SimulationResult`.
     """
 
     def __init__(self, benchmark: str, policy: str = "base",
                  instructions: Optional[int] = None, *,
                  config: Optional[MachineConfig] = None,
                  calibration: Optional[PowerCalibration] = None,
-                 backend: Optional[str] = None,
                  seed: Optional[int] = None,
                  prewarm: bool = True) -> None:
         profile = get_profile(benchmark)
@@ -264,18 +260,14 @@ class PausableRun:
         self.policy_name = policy
         self.instructions = instructions or default_instructions()
         self.seed = seed
-        self.backend = resolve_backend(backend)
         self.calibration = calibration or PowerCalibration()
         config = config or baseline_config()
         generator = SyntheticTraceGenerator(profile, seed=seed)
         stream = TraceStream(iter(generator), limit=self.instructions)
-        core = ArrayPipeline if self.backend == "array" else Pipeline
-        self.pipeline = core(config, stream, make_policy(policy))
-        if prewarm:
-            generator.prewarm(self.pipeline.hierarchy)
-        self.accountant = PowerAccountant(
-            BlockPowers(config, self.calibration))
-        self.pipeline.add_observer(self.accountant.observe)
+        self.pipeline, self.accountant = assemble_run(
+            config, stream, make_policy(policy),
+            BlockPowers(config, self.calibration),
+            prewarm=generator if prewarm else None)
 
     @property
     def committed(self) -> int:
@@ -304,7 +296,6 @@ class PausableRun:
             "policy_name": self.policy_name,
             "instructions": self.instructions,
             "seed": self.seed,
-            "backend": self.backend,
             "calibration": self.calibration,
             # replay position: ops drawn from the seeded generator (the
             # stream itself — including its lookahead op — pickles as
@@ -329,7 +320,6 @@ class PausableRun:
         run.policy_name = state["policy_name"]
         run.instructions = state["instructions"]
         run.seed = state["seed"]
-        run.backend = state["backend"]
         run.calibration = state["calibration"]
         run.pipeline = state["pipeline"]
         run.accountant = state["accountant"]

@@ -39,11 +39,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..obs.events import get_journal
-from ..pipeline.arraycore import ArrayPipeline
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import Pipeline
 from ..pipeline.stats import SimStats
-from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..workloads.profiles import get_profile
@@ -51,8 +48,8 @@ from ..workloads.synthetic import SyntheticTraceGenerator
 from .checkpoint import CheckpointStore, SimulationInterrupted, \
     spec_checkpoint_key
 from .configs import baseline_config, config_from_tag, default_instructions
-from .simulator import SimulationResult, build_result, make_policy, \
-    resolve_backend
+from .simulator import SimulationResult, assemble_run, build_result, \
+    make_policy
 
 __all__ = ["SampleSpec", "SampledRun", "aggregate_windows",
            "run_sampled_spec"]
@@ -254,7 +251,6 @@ class SampledRun:
                  sample: Any = "10x1000", *,
                  config: Optional[MachineConfig] = None,
                  calibration: Optional[PowerCalibration] = None,
-                 backend: Optional[str] = None,
                  seed: Optional[int] = None,
                  prewarm: bool = True) -> None:
         profile = get_profile(benchmark)
@@ -264,7 +260,6 @@ class SampledRun:
         self.sample = (SampleSpec.parse(sample)
                        if isinstance(sample, str) else sample)
         self.seed = seed
-        self.backend = resolve_backend(backend)
         self.config = config or baseline_config()
         self.calibration = calibration or PowerCalibration()
         self._plan = self.sample.plan(self.instructions)
@@ -333,12 +328,10 @@ class SampledRun:
         # the window draws exactly ``length`` ops through its own
         # limited stream, so interval boundaries are exact positions
         stream = TraceStream(self._source, limit=length)
-        core = ArrayPipeline if self.backend == "array" else Pipeline
-        pipeline = core(self.config, stream, make_policy(self.policy_name),
-                        hierarchy=self.hierarchy, predictor=self.predictor)
-        accountant = PowerAccountant(
-            BlockPowers(self.config, self.calibration))
-        pipeline.add_observer(accountant.observe)
+        pipeline, accountant = assemble_run(
+            self.config, stream, make_policy(self.policy_name),
+            BlockPowers(self.config, self.calibration),
+            hierarchy=self.hierarchy, predictor=self.predictor)
         stats = pipeline.run(max_instructions=length)
         self._drawn += stream.source_drawn
         result = build_result(self.benchmark, pipeline.policy, accountant,
@@ -381,7 +374,6 @@ class SampledRun:
             "instructions": self.instructions,
             "sample": str(self.sample),
             "seed": self.seed,
-            "backend": self.backend,
             "config": self.config,
             "calibration": self.calibration,
             "drawn": self._drawn,
@@ -405,7 +397,6 @@ class SampledRun:
         run.instructions = state["instructions"]
         run.sample = SampleSpec.parse(state["sample"])
         run.seed = state["seed"]
-        run.backend = state["backend"]
         run.config = state["config"]
         run.calibration = state["calibration"]
         run._plan = run.sample.plan(run.instructions)

@@ -8,16 +8,17 @@ everything §5's figures are computed from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from ..core.dcg import DCGPolicy
 from ..core.interface import GatingPolicy, NoGatingPolicy
 from ..core.plb import PLBPolicy
-from ..pipeline.arraycore import ArrayPipeline
+from ..frontend.branch_predictor import BranchPredictor
+from ..memory.hierarchy import CacheHierarchy
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import Pipeline
+from ..pipeline.core import CycleObserver, Pipeline
 from ..pipeline.stats import SimStats
 from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
@@ -27,33 +28,29 @@ from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .configs import baseline_config, default_instructions
 
-__all__ = ["SimulationResult", "Simulator", "build_result", "make_policy",
-           "BUILTIN_POLICIES", "BACKENDS", "BACKEND_ENV_VAR",
-           "resolve_backend"]
-
-#: cycle-core implementations the facade can run; both are bit-identical
-#: (pinned by the golden invariance and cross-backend equivalence tests)
-BACKENDS = ("object", "array")
-
-#: environment override consulted when no explicit backend is passed —
-#: an env var (rather than, say, a config field) so worker processes
-#: spawned by the parallel runner and the service inherit it for free
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+__all__ = ["SimulationResult", "Simulator", "assemble_run", "build_result",
+           "make_policy", "BUILTIN_POLICIES"]
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the cycle-core backend: explicit argument, then the
-    ``REPRO_BACKEND`` environment variable, then ``object``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or "object"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}")
-    return name
+# kept only because e2ebench/workloads.py imports it to label its reports
+def resolve_backend() -> str:
+    return "array"
+
+
+#: built-in policy name -> factory: ``dcg+iq`` is DCG composed with
+#: [6]'s deterministic issue-queue gating
+_POLICY_FACTORIES: Dict[str, Callable[[], GatingPolicy]] = {
+    "base": NoGatingPolicy,
+    "dcg": DCGPolicy,
+    "dcg-delayed-store": partial(DCGPolicy, store_policy="delayed"),
+    "dcg+iq": partial(DCGPolicy, gate_issue_queue=True),
+    "plb-orig": partial(PLBPolicy, extended=False),
+    "plb-ext": partial(PLBPolicy, extended=True),
+}
 
 #: policy names :func:`make_policy` understands; these are reserved as
 #: cache keys and may not be rebound to custom policy factories
-BUILTIN_POLICIES = ("base", "dcg", "dcg-delayed-store", "dcg+iq",
-                    "plb-orig", "plb-ext")
+BUILTIN_POLICIES = tuple(_POLICY_FACTORIES)
 
 
 @dataclass
@@ -110,7 +107,7 @@ def build_result(name: str, policy_obj: GatingPolicy,
         fam: accountant.family_saving(fam)
         for fam in accountant.families}
     family_savings["exec_units"] = accountant.exec_units_saving()
-    result = SimulationResult(
+    return SimulationResult(
         benchmark=name,
         policy=policy_obj.name,
         instructions=stats.committed,
@@ -121,31 +118,45 @@ def build_result(name: str, policy_obj: GatingPolicy,
         total_saving=accountant.total_saving_fraction,
         family_savings=family_savings,
         stats=stats,
+        **policy_obj.result_fields(),
     )
-    if isinstance(policy_obj, PLBPolicy):
-        result.mode_cycles = dict(policy_obj.mode_cycles)
-    if isinstance(policy_obj, DCGPolicy):
-        result.fu_toggles = policy_obj.toggle_count
-    return result
 
 
 def make_policy(name: str) -> GatingPolicy:
-    """Policy factory: ``base``, ``dcg``, ``dcg-delayed-store``,
-    ``dcg+iq`` (DCG composed with [6]'s deterministic issue-queue
-    gating), ``plb-orig``, ``plb-ext``."""
-    if name == "base":
-        return NoGatingPolicy()
-    if name == "dcg":
-        return DCGPolicy()
-    if name == "dcg-delayed-store":
-        return DCGPolicy(store_policy="delayed")
-    if name == "dcg+iq":
-        return DCGPolicy(gate_issue_queue=True)
-    if name == "plb-orig":
-        return PLBPolicy(extended=False)
-    if name == "plb-ext":
-        return PLBPolicy(extended=True)
-    raise ValueError(f"unknown policy {name!r}")
+    """A fresh policy object for one of :data:`BUILTIN_POLICIES`."""
+    try:
+        factory = _POLICY_FACTORIES[name]
+    except KeyError:
+        raise ValueError(f"unknown policy {name!r}") from None
+    return factory()
+
+
+def assemble_run(config: MachineConfig, stream: TraceStream,
+                 policy: GatingPolicy, blocks: BlockPowers, *,
+                 hierarchy: Optional[CacheHierarchy] = None,
+                 predictor: Optional[BranchPredictor] = None,
+                 prewarm: Optional[SyntheticTraceGenerator] = None,
+                 observers: Iterable[CycleObserver] = ()
+                 ) -> Tuple[Pipeline, PowerAccountant]:
+    """Wire a stream, policy and power accountant into a ready pipeline.
+
+    The one place a run is assembled — :class:`Simulator`, the
+    checkpointable :class:`~repro.sim.checkpoint.PausableRun` and each
+    :class:`~repro.sim.sampling.SampledRun` window all come through
+    here.  ``hierarchy``/``predictor`` share warmed state across
+    pipelines (sampling windows); ``prewarm`` installs a synthetic
+    workload's working set before cycle 0; ``observers`` are extra
+    per-cycle callbacks attached after the accountant.
+    """
+    pipeline = Pipeline(config, stream, policy, hierarchy=hierarchy,
+                        predictor=predictor)
+    if prewarm is not None:
+        prewarm.prewarm(pipeline.hierarchy)
+    accountant = PowerAccountant(blocks)
+    pipeline.add_observer(accountant.observe)
+    for observer in observers:
+        pipeline.add_observer(observer)
+    return pipeline, accountant
 
 
 class Simulator:
@@ -157,19 +168,13 @@ class Simulator:
         Machine configuration; Table 1 baseline by default.
     calibration:
         Power-model calibration; Wattch-era defaults.
-    backend:
-        Cycle-core implementation: ``object`` (InflightOp records) or
-        ``array`` (struct-of-arrays, same results, faster).  ``None``
-        defers to the ``REPRO_BACKEND`` environment variable.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 calibration: Optional[PowerCalibration] = None,
-                 backend: Optional[str] = None) -> None:
+                 calibration: Optional[PowerCalibration] = None) -> None:
         self.config = config or baseline_config()
         self.calibration = calibration or PowerCalibration()
         self.blocks = BlockPowers(self.config, self.calibration)
-        self.backend = resolve_backend(backend)
 
     def run_benchmark(self, benchmark: Union[str, BenchmarkProfile],
                       policy: Union[str, GatingPolicy] = "base",
@@ -208,14 +213,8 @@ class Simulator:
              prewarm_source: Optional[SyntheticTraceGenerator] = None,
              observers: Optional[Iterable] = None) -> SimulationResult:
         policy_obj = make_policy(policy) if isinstance(policy, str) else policy
-        core = ArrayPipeline if self.backend == "array" else Pipeline
-        pipeline = core(self.config, stream, policy_obj)
-        if prewarm_source is not None:
-            prewarm_source.prewarm(pipeline.hierarchy)
-        accountant = PowerAccountant(self.blocks)
-        pipeline.add_observer(accountant.observe)
-        if observers:
-            for observer in observers:
-                pipeline.add_observer(observer)
+        pipeline, accountant = assemble_run(
+            self.config, stream, policy_obj, self.blocks,
+            prewarm=prewarm_source, observers=observers or ())
         stats = pipeline.run(max_instructions=instructions)
         return build_result(name, policy_obj, accountant, stats)

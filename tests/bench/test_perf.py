@@ -22,9 +22,6 @@ def test_report_shape(report):
     assert report["schema_version"] == SCHEMA_VERSION
     assert report["tag"] == "test"
     assert report["instructions_per_case"] == TINY
-    # the harness inherits REPRO_BACKEND (CI's array leg sets it)
-    from repro.sim.simulator import resolve_backend
-    assert report["backend"] == resolve_backend()
     assert report["repeats"] == 1
     assert len(report["results"]) == len(DEFAULT_CASES)
     labels = [(r["benchmark"], r["policy"]) for r in report["results"]]
@@ -77,10 +74,9 @@ def test_rejects_bad_budget_and_empty_cases():
         run_bench(instructions=TINY, repeats=0)
 
 
-def test_backend_and_repeats_recorded():
+def test_repeats_recorded():
     report = run_bench(instructions=TINY, cases=DEFAULT_CASES[:1],
-                       tag="b", backend="array", repeats=2)
-    assert report["backend"] == "array"
+                       tag="b", repeats=2)
     assert report["repeats"] == 2
     validate_report(report)
 
@@ -128,6 +124,15 @@ def test_profile_case_reports_hot_functions():
     assert "cumulative" in text
     # the per-cycle step must show up among the hottest functions
     assert "_step" in text
+
+
+def test_profile_case_profiles_the_sampled_driver():
+    """A sampled case must profile the sampling driver (fast-forward
+    plus windows), not a full run of the same budget."""
+    text = profile_case(BenchCase("gzip", "dcg", sample="3x300"),
+                        instructions=TINY, top=40)
+    assert "_fast_forward" in text
+    assert "run_window" in text
 
 
 def test_cli_bench_perf_writes_report(tmp_path, capsys):

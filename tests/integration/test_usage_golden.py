@@ -24,9 +24,8 @@ import pytest
 
 from repro.core import DCGPolicy, NoGatingPolicy
 from repro.pipeline import MachineConfig, Pipeline, render_pipetrace
-from repro.pipeline.arraycore import ArrayPipeline
 from repro.pipeline.usage import CycleUsage
-from repro.trace import TraceStream
+from repro.trace import FUClass, TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -52,15 +51,10 @@ PIPETRACE_OPS = 64
 
 def _canonical(value):
     if isinstance(value, dict):
-        return {(int(k) if isinstance(k, int) else k): _canonical(v)
-                for k, v in value.items()}
+        return {_canonical(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    return value
+    return int(value) if isinstance(value, FUClass) else value
 
 
 def _build(core_cls, regime):
@@ -106,19 +100,13 @@ def _load_golden():
         return json.load(handle)
 
 
-CORES = [Pipeline, ArrayPipeline]
-
-
-@pytest.mark.parametrize("core_cls", CORES, ids=["object", "array"])
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-def test_usage_stream_matches_golden(regime, core_cls):
-    assert usage_digest(core_cls, regime) == \
-        _load_golden()["usage"][regime]
+def test_usage_stream_matches_golden(regime):
+    assert usage_digest(Pipeline, regime) == _load_golden()["usage"][regime]
 
 
-@pytest.mark.parametrize("core_cls", CORES, ids=["object", "array"])
-def test_pipetrace_matches_golden(core_cls):
-    assert pipetrace_digest(core_cls) == _load_golden()["pipetrace"]
+def test_pipetrace_matches_golden():
+    assert pipetrace_digest(Pipeline) == _load_golden()["pipetrace"]
 
 
 def test_golden_covers_every_regime():

@@ -145,23 +145,21 @@ def test_spec_checkpoint_key_isolates_sample_plans():
 
 # -- PausableRun ------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_straight_drive_matches_simulator(backend):
-    run = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+def test_straight_drive_matches_simulator():
+    run = PausableRun("gzip", "dcg", INSTRUCTIONS)
     run.advance()
-    direct = Simulator(backend=backend).run_benchmark(
+    direct = Simulator().run_benchmark(
         "gzip", "dcg", INSTRUCTIONS)
     assert result_to_dict(run.result()) == result_to_dict(direct)
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_snapshot_resume_is_bit_identical(backend):
+def test_snapshot_resume_is_bit_identical():
     """Pause mid-run, pickle the state (the store's round-trip), resume
     in a 'fresh process', and finish: byte-identical to never pausing."""
-    reference = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+    reference = PausableRun("gzip", "dcg", INSTRUCTIONS)
     reference.advance()
 
-    paused = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+    paused = PausableRun("gzip", "dcg", INSTRUCTIONS)
     paused.advance(701)
     frozen = pickle.dumps(paused.state())
     del paused

@@ -39,29 +39,6 @@ def test_run_deep(capsys):
     assert "saved" in capsys.readouterr().out
 
 
-def test_run_backend_flag_exports_env(monkeypatch, capsys):
-    """--backend must reach the simulator via REPRO_BACKEND so pool
-    workers and the service inherit the same cycle core."""
-    import os
-    from repro.sim.simulator import BACKEND_ENV_VAR
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    try:
-        assert main(["run", "gzip", "--backend", "array",
-                     "--instructions", "1200"]) == 0
-        assert os.environ.get(BACKEND_ENV_VAR) == "array"
-    finally:
-        # main() exports the flag for child processes; delenv on an
-        # absent var registers no undo, so clean up by hand
-        os.environ.pop(BACKEND_ENV_VAR, None)
-    assert "saved" in capsys.readouterr().out
-
-
-def test_backend_flag_rejects_unknown(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "gzip", "--backend", "vector"])
-    assert "invalid choice" in capsys.readouterr().err
-
-
 def test_compare(capsys):
     assert main(["compare", "mcf", "--instructions", "1200"]) == 0
     out = capsys.readouterr().out

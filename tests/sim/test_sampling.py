@@ -115,14 +115,6 @@ def test_full_run_serialization_has_no_sampling_keys():
     assert "sampled_instructions" not in data
 
 
-def test_cross_backend_sampled_equivalence():
-    object_run = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE,
-                            backend="object").run()
-    array_run = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE,
-                           backend="array").run()
-    assert result_to_dict(object_run) == result_to_dict(array_run)
-
-
 def test_ci_brackets_full_run_saving():
     """The acceptance property at test scale: the sampled DCG-saving
     confidence interval brackets the full run's value."""
@@ -134,12 +126,9 @@ def test_ci_brackets_full_run_saving():
     assert abs(sampled.total_saving - full.total_saving) < 0.05
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_resume_mid_run_is_bit_identical(backend):
-    reference = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE,
-                           backend=backend).run()
-    paused = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE,
-                        backend=backend)
+def test_resume_mid_run_is_bit_identical():
+    reference = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE).run()
+    paused = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE)
     paused.run_window()
     paused.run_window()
     frozen = pickle.dumps(paused.state())
