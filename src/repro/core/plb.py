@@ -111,11 +111,15 @@ class _ModePlan:
         self.disabled_fus: Dict[FUClass, int] = dict(
             resources["disabled_fus"])
         self.iq_fraction: float = resources["iq_fraction_gated"]
-        self.dcache_ports_disabled: int = resources["dcache_ports_disabled"]
-        self.result_buses_disabled: int = resources["result_buses_disabled"]
+        # a narrow machine (``width=N``) keeps at least one D-cache port
+        # and one result bus in every mode, or nothing could complete
+        self.dcache_ports_disabled: int = min(
+            resources["dcache_ports_disabled"], config.dcache_ports - 1)
+        self.result_buses_disabled: int = min(
+            resources["result_buses_disabled"], config.result_buses - 1)
         cons = CycleConstraints(
-            issue_width=mode,
-            rename_width=mode,
+            issue_width=min(mode, config.issue_width),
+            rename_width=min(mode, config.decode_width),
             dcache_ports=config.dcache_ports,
             result_buses=config.result_buses,
             disabled_fus=dict(self.disabled_fus),
