@@ -89,7 +89,9 @@ class ExperimentRunner:
             SampleSpec.parse(sample).validate(self.instructions)
         self.sample = sample
         self._simulators: Dict[str, Simulator] = {}
-        self._cache: Dict[Tuple[str, str, str], SimulationResult] = {}
+        #: in-process memo, keyed on the whole spec: a service request
+        #: may override seed, budget or sample plan per job
+        self._cache: Dict[RunSpec, SimulationResult] = {}
 
     # -- configurations ---------------------------------------------------
 
@@ -121,9 +123,9 @@ class ExperimentRunner:
         if self.progress is not None:
             self.progress(RunReport(spec, seconds, source, batch_size))
 
-    def _memoise(self, key: Tuple[str, str, str], spec: RunSpec,
-                 result: SimulationResult, persist: bool) -> None:
-        self._cache[key] = result
+    def _memoise(self, spec: RunSpec, result: SimulationResult,
+                 persist: bool) -> None:
+        self._cache[spec] = result
         if persist:
             self.cache.put(self._fingerprint(spec), result)
 
@@ -134,26 +136,22 @@ class ExperimentRunner:
         get_journal().emit(kind, layer=layer, benchmark=spec.benchmark,
                            policy=spec.policy, tag=spec.tag)
 
-    def cached(self, benchmark: str, policy: str, tag: str = "baseline"
+    def cached(self, spec: RunSpec
                ) -> Optional[Tuple[SimulationResult, str]]:
-        """Memory-then-disk lookup without simulating.
+        """Memory-then-disk lookup of ``spec`` without simulating.
 
         Returns ``(result, source)`` with source ``"memory"`` or
         ``"disk"`` (disk hits are promoted into memory), or None on a
         full miss.  This is the cache half of :meth:`run`, split out so
         the service's worker pool can walk the same resolution path.
         """
-        key = (tag, benchmark, policy)
-        journal = get_journal()
-        if key in self._cache:
-            if journal.enabled:
-                self._emit_cache("cache.hit", self._spec(benchmark, policy,
-                                                         tag), "memory")
-            return self._cache[key], "memory"
-        spec = self._spec(benchmark, policy, tag)
+        if spec in self._cache:
+            if get_journal().enabled:
+                self._emit_cache("cache.hit", spec, "memory")
+            return self._cache[spec], "memory"
         disk = self.cache.get(self._fingerprint(spec))
         if disk is not None:
-            self._cache[key] = disk
+            self._cache[spec] = disk
             self._emit_cache("cache.hit", spec, "disk")
             return disk, "disk"
         self._emit_cache("cache.miss", spec)
@@ -161,8 +159,7 @@ class ExperimentRunner:
 
     def memoise_spec(self, spec: RunSpec, result: SimulationResult) -> None:
         """Record an externally computed result in memory and on disk."""
-        key = (spec.tag, spec.benchmark, spec.policy)
-        self._memoise(key, spec, result, persist=True)
+        self._memoise(spec, result, persist=True)
 
     def _execute(self, specs: Sequence[RunSpec],
                  jobs: int) -> List[SimulationResult]:
@@ -199,25 +196,22 @@ class ExperimentRunner:
             raise ValueError(
                 f"policy name {policy!r} is reserved for the built-in "
                 "policy; run a custom factory under a distinct name")
-        key = (tag, benchmark, policy)
-        if key in self._cache:
-            if get_journal().enabled:
-                self._emit_cache("cache.hit",
-                                 self._spec(benchmark, policy, tag),
-                                 "memory")
-            return self._cache[key]
         spec = self._spec(benchmark, policy, tag)
+        if spec in self._cache:
+            if get_journal().enabled:
+                self._emit_cache("cache.hit", spec, "memory")
+            return self._cache[spec]
         if policy_factory is None:
             disk = self.cache.get(self._fingerprint(spec))
             if disk is not None:
-                self._cache[key] = disk
+                self._cache[spec] = disk
                 self._emit_cache("cache.hit", spec, "disk")
                 self._report(spec, 0.0, "disk")
                 return disk
             self._emit_cache("cache.miss", spec)
         if self.remote is not None and policy_factory is None:
             result = self._execute([spec], jobs=1)[0]
-            self._memoise(key, spec, result, persist=True)
+            self._memoise(spec, result, persist=True)
             return result
         sim = self.simulator(tag)
         start = time.perf_counter()
@@ -230,7 +224,7 @@ class ExperimentRunner:
                                        instructions=self.instructions,
                                        seed=spec.seed)
         self._report(spec, time.perf_counter() - start, "run")
-        self._memoise(key, spec, result, persist=policy_factory is None)
+        self._memoise(spec, result, persist=policy_factory is None)
         return result
 
     # -- batched runs -----------------------------------------------------
@@ -253,48 +247,40 @@ class ExperimentRunner:
         in request order regardless of worker scheduling.
         """
         jobs = self.jobs if jobs is None else jobs
-        normalised = [self._normalise(r) for r in requests]
-        # memo keys share run()'s (tag, benchmark, policy) ordering
-        keys = [(tag, benchmark, policy)
-                for benchmark, policy, tag in normalised]
-        results: List[Optional[SimulationResult]] = [None] * len(keys)
-        todo: List[Tuple[int, Tuple[str, str, str], RunSpec]] = []
-        pending: Dict[Tuple[str, str, str], List[int]] = {}
+        specs = [self._spec(*self._normalise(r)) for r in requests]
+        results: List[Optional[SimulationResult]] = [None] * len(specs)
+        todo: List[Tuple[int, RunSpec]] = []
+        pending: Dict[RunSpec, List[int]] = {}
         journal = get_journal()
-        for i, (key, (benchmark, policy, tag)) in enumerate(
-                zip(keys, normalised)):
-            if key in self._cache:
+        for i, spec in enumerate(specs):
+            if spec in self._cache:
                 # silent: memory hits are free and would flood progress
                 if journal.enabled:
-                    self._emit_cache("cache.hit",
-                                     self._spec(benchmark, policy, tag),
-                                     "memory")
-                results[i] = self._cache[key]
+                    self._emit_cache("cache.hit", spec, "memory")
+                results[i] = self._cache[spec]
                 continue
-            if key in pending:        # duplicate request in this batch
-                pending[key].append(i)
+            if spec in pending:       # duplicate request in this batch
+                pending[spec].append(i)
                 continue
-            pending[key] = [i]
-            spec = self._spec(benchmark, policy, tag)
+            pending[spec] = [i]
             disk = self.cache.get(self._fingerprint(spec))
             if disk is not None:
-                self._cache[key] = disk
+                self._cache[spec] = disk
                 results[i] = disk
                 self._emit_cache("cache.hit", spec, "disk")
                 self._report(spec, 0.0, "disk")
                 continue
             self._emit_cache("cache.miss", spec)
-            todo.append((i, key, spec))
+            todo.append((i, spec))
         if todo:
-            fresh = self._execute([spec for _i, _key, spec in todo],
-                                  jobs=jobs)
-            for (i, key, spec), result in zip(todo, fresh):
+            fresh = self._execute([spec for _i, spec in todo], jobs=jobs)
+            for (i, spec), result in zip(todo, fresh):
                 results[i] = result
-                self._memoise(key, spec, result, persist=True)
-        for key, indices in pending.items():
+                self._memoise(spec, result, persist=True)
+        for spec, indices in pending.items():
             for i in indices:
                 if results[i] is None:
-                    results[i] = self._cache[key]
+                    results[i] = self._cache[spec]
         return results  # type: ignore[return-value]
 
     def prefetch(self, requests: Sequence[Request],

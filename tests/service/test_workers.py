@@ -57,6 +57,34 @@ def test_pool_simulates_and_caches(tmp_path):
         pool.stop()
 
 
+def test_seed_override_is_not_served_the_default_seed_result(tmp_path):
+    """A seed=77 request after a default-seed one for the same
+    (tag, benchmark, policy) must simulate, not hit the cached cell."""
+    queue, pool, runner = _pool(tmp_path, workers=1)
+    pool.start()
+    try:
+        default = _submit(queue, benchmark="gzip", policy="dcg")
+        assert default.wait(timeout=60)
+        seeded = _submit(queue, benchmark="gzip", policy="dcg", seed=77)
+        assert seeded.wait(timeout=60)
+        assert seeded.source == "run"
+        assert seeded.result.cycles != default.result.cycles
+        expected = simulate_spec(seeded.spec, runner.calibration)
+        assert seeded.result.cycles == expected.cycles
+    finally:
+        pool.stop()
+    # a fresh pool over the same disk cache keeps the two apart too
+    queue, pool, _runner = _pool(tmp_path, workers=1)
+    pool.start()
+    try:
+        again = _submit(queue, benchmark="gzip", policy="dcg", seed=77)
+        assert again.wait(timeout=60)
+        assert again.source == "disk"
+        assert again.result.cycles == seeded.result.cycles
+    finally:
+        pool.stop()
+
+
 def test_fresh_pool_hits_disk_cache(tmp_path):
     queue, pool, _runner = _pool(tmp_path, workers=1)
     pool.start()

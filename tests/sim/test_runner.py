@@ -93,8 +93,10 @@ def test_run_many_returns_request_order(runner):
 
 def test_prefetch_warms_the_memo(runner):
     runner.prefetch([("vpr", "base"), ("vpr", "dcg")])
-    assert ("baseline", "vpr", "base") in runner._cache
-    assert ("baseline", "vpr", "dcg") in runner._cache
+    assert runner.cached(runner._spec("vpr", "base", "baseline"))[1] == \
+        "memory"
+    assert runner.cached(runner._spec("vpr", "dcg", "baseline"))[1] == \
+        "memory"
 
 
 def test_disk_cache_shared_across_runners(tmp_path):
@@ -131,15 +133,31 @@ def test_cached_walks_memory_then_disk(tmp_path):
     from repro.sim import ResultCache
     root = str(tmp_path / "cache")
     first = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    assert first.cached("gzip", "dcg") is None      # cold everywhere
+    spec = first._spec("gzip", "dcg", "baseline")
+    assert first.cached(spec) is None      # cold everywhere
     hot = first.run("gzip", "dcg")
-    result, source = first.cached("gzip", "dcg")
+    result, source = first.cached(spec)
     assert source == "memory" and result is hot
     second = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    result, source = second.cached("gzip", "dcg")
+    result, source = second.cached(spec)
     assert source == "disk" and result.cycles == hot.cycles
     # the disk hit is promoted, so the next lookup is a memory hit
-    assert second.cached("gzip", "dcg")[1] == "memory"
+    assert second.cached(spec)[1] == "memory"
+
+
+def test_cached_keys_on_the_whole_spec(tmp_path):
+    """Seed, budget and sample plan are part of the cache key: a lookup
+    that differs only there must miss, in memory and on disk."""
+    from dataclasses import replace
+    from repro.sim import ResultCache
+    runner = ExperimentRunner(instructions=900,
+                              cache=ResultCache(str(tmp_path)))
+    runner.run("gzip", "dcg")
+    spec = runner._spec("gzip", "dcg", "baseline")
+    assert runner.cached(spec)[1] == "memory"
+    for other in (replace(spec, seed=77), replace(spec, instructions=800),
+                  replace(spec, sample="3x100")):
+        assert runner.cached(other) is None
 
 
 def test_memoise_spec_feeds_both_cache_layers(tmp_path):
@@ -150,9 +168,9 @@ def test_memoise_spec_feeds_both_cache_layers(tmp_path):
     result = ExperimentRunner(instructions=900).run("gzip", "dcg")
     runner.memoise_spec(spec, result)
     assert runner.cache.stores == 1
-    assert runner.cached("gzip", "dcg")[1] == "memory"
+    assert runner.cached(spec)[1] == "memory"
     fresh = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    assert fresh.cached("gzip", "dcg")[1] == "disk"
+    assert fresh.cached(spec)[1] == "disk"
 
 
 def test_remote_executor_receives_only_the_misses():
