@@ -599,16 +599,7 @@ class Pipeline:
                             for cc in range(ex_start, ex_start + latency):
                                 ring[cc & cmask] |= bit
                             grants.append((_FU_MEMBERS[fu], unit, latency))
-                            o_icyc[s] = c
                             consumer_ready = c + latency
-                            o_cons[s] = consumer_ready
-                            waiters = o_wait[s]
-                            if waiters:
-                                for w in waiters:
-                                    o_unres[w] -= 1
-                                    if consumer_ready > o_ready[w]:
-                                        o_ready[w] = consumer_ready
-                                waiters.clear()
                             complete = (c + 1 + latency) & cmask
                             if o_dest[s] >= 0:
                                 bus_ring[complete].append(s)
@@ -651,15 +642,7 @@ class Pipeline:
                                         stats.forwarded_loads += 1
                                     else:
                                         ready = c + 1 + raw
-                                    o_icyc[s] = c
-                                    o_cons[s] = ready
-                                    waiters = o_wait[s]
-                                    if waiters:
-                                        for w in waiters:
-                                            o_unres[w] -= 1
-                                            if ready > o_ready[w]:
-                                                o_ready[w] = ready
-                                        waiters.clear()
+                                    consumer_ready = ready
                                     bus_ring[
                                         (ready + 1) & cmask].append(s)
                                     usage.issued_loads += 1
@@ -669,20 +652,21 @@ class Pipeline:
                         # store: address/data generation, access at commit
                         unit = self._allocate(_MEM_PORT, cls, c + i2m)
                         if unit >= 0:
-                            o_icyc[s] = c
                             consumer_ready = c + 1
-                            o_cons[s] = consumer_ready
-                            waiters = o_wait[s]
-                            if waiters:
-                                for w in waiters:
-                                    o_unres[w] -= 1
-                                    if consumer_ready > o_ready[w]:
-                                        o_ready[w] = consumer_ready
-                                waiters.clear()
                             other_ring[(c + i2e) & cmask].append(s)
                             usage.issued_stores += 1
                             ok = True
                 if ok:
+                    # scheduled: dependants may issue from consumer_ready
+                    o_icyc[s] = c
+                    o_cons[s] = consumer_ready
+                    waiters = o_wait[s]
+                    if waiters:
+                        for w in waiters:
+                            o_unres[w] -= 1
+                            if consumer_ready > o_ready[w]:
+                                o_ready[w] = consumer_ready
+                        waiters.clear()
                     issued += 1
                     if capturing:
                         rec = self._rec[s]
