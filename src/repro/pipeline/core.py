@@ -118,6 +118,19 @@ _MEM_PORT = int(FUClass.MEM_PORT)
 #: verify tables, so its cross-check is a pointer comparison)
 _mask_table = activity_mask_table
 
+#: per-slot op columns and the value a fresh slot holds in each.
+#: ``_resq`` is 1 while the op sits in the resolve ring — a deep-regread
+#: branch can commit before resolving, and its slot must not be recycled
+#: under a live calendar reference; ``_rec`` is the op's pipetrace
+#: record while it is captured
+_COLUMNS = (
+    ("_cls", OpClass.NOP), ("_flags", 0), ("_seq", 0), ("_dest", -1),
+    ("_mem", 0), ("_pc", 0), ("_taken", False), ("_btarget", None),
+    ("_ptaken", False), ("_ptarget", None), ("_ready", 0), ("_unres", 0),
+    ("_icyc", -1), ("_cons_ready", -1), ("_done", 0), ("_com", 0),
+    ("_wp", 0), ("_sq", 0), ("_resq", 0), ("_gen", 0), ("_rec", None),
+)
+
 
 class Pipeline:
     """Trace-driven out-of-order core.
@@ -239,37 +252,14 @@ class Pipeline:
             policy.constraints(0) if getattr(
                 policy, "constraints_static", False) else None)
 
-        # op columns; slots recycled through the free list
-        cap = config.window_size + 256
+        # op columns (see _COLUMNS); slots recycled through the free list
         self._cap = 0
-        self._cls: List[OpClass] = []
-        self._flags: List[int] = []
-        self._seq: List[int] = []
-        self._dest: List[int] = []
-        self._mem: List[int] = []
-        self._pc: List[int] = []
-        self._taken: List[bool] = []
-        self._btarget: List[Optional[int]] = []
-        self._ptaken: List[bool] = []
-        self._ptarget: List[Optional[int]] = []
-        self._ready: List[int] = []
-        self._unres: List[int] = []
-        self._icyc: List[int] = []
-        self._cons_ready: List[int] = []
-        self._done: List[int] = []
-        self._com: List[int] = []
-        self._wp: List[int] = []
-        self._sq: List[int] = []
-        #: 1 while the op sits in the resolve ring — a deep-regread
-        #: branch can commit before resolving, and its slot must not be
-        #: recycled under a live calendar reference
-        self._resq: List[int] = []
-        self._gen: List[int] = []
+        for name, _fill in _COLUMNS:
+            setattr(self, name, [])
+        #: per slot, the dispatched ops waiting on its result
         self._wait: List[List[int]] = []
-        #: pipetrace record of the op in each slot, while it is captured
-        self._rec: List[Optional[CapturedOp]] = []
         self._free: List[int] = []
-        self._grow(cap)
+        self._grow(config.window_size + 256)
 
         # machine state
         self.cycle = 0
@@ -308,28 +298,9 @@ class Pipeline:
 
     def _grow(self, extra: int) -> None:
         base = self._cap
-        self._cls.extend([OpClass.NOP] * extra)
-        self._flags.extend([0] * extra)
-        self._seq.extend([0] * extra)
-        self._dest.extend([-1] * extra)
-        self._mem.extend([0] * extra)
-        self._pc.extend([0] * extra)
-        self._taken.extend([False] * extra)
-        self._btarget.extend([None] * extra)
-        self._ptaken.extend([False] * extra)
-        self._ptarget.extend([None] * extra)
-        self._ready.extend([0] * extra)
-        self._unres.extend([0] * extra)
-        self._icyc.extend([-1] * extra)
-        self._cons_ready.extend([-1] * extra)
-        self._done.extend([0] * extra)
-        self._com.extend([0] * extra)
-        self._wp.extend([0] * extra)
-        self._sq.extend([0] * extra)
-        self._resq.extend([0] * extra)
-        self._gen.extend([0] * extra)
+        for name, fill in _COLUMNS:
+            getattr(self, name).extend([fill] * extra)
         self._wait.extend([] for _ in range(extra))
-        self._rec.extend([None] * extra)
         self._cap += extra
         self._free.extend(range(self._cap - 1, base - 1, -1))
 

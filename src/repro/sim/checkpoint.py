@@ -32,13 +32,14 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
+from ..trace.uop import MicroOp
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .cache import fingerprint
@@ -48,7 +49,7 @@ from .simulator import SimulationResult, assemble_run, build_result, \
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
            "PausableRun", "SimulationInterrupted", "checkpoint_chunk",
-           "run_resumable_spec", "spec_checkpoint_key"]
+           "replay_source", "run_resumable_spec", "spec_checkpoint_key"]
 
 #: environment variable naming the checkpoint directory; unset disables
 #: checkpointing entirely (every store degrades to a no-op)
@@ -97,6 +98,16 @@ def spec_checkpoint_key(spec: Any,
                        get_profile(spec.benchmark), spec.policy,
                        spec.instructions, calibration, spec.seed,
                        sample=getattr(spec, "sample", None))
+
+
+def replay_source(benchmark: str, seed: Optional[int],
+                  drawn: int) -> Iterator[MicroOp]:
+    """A fresh seeded trace source advanced past its first ``drawn`` ops
+    (a snapshot's draw position); replay touches only the trace RNG."""
+    source = iter(SyntheticTraceGenerator(get_profile(benchmark), seed=seed))
+    for _ in range(drawn):
+        next(source)
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +334,8 @@ class PausableRun:
         run.calibration = state["calibration"]
         run.pipeline = state["pipeline"]
         run.accountant = state["accountant"]
-        generator = SyntheticTraceGenerator(get_profile(run.benchmark),
-                                            seed=run.seed)
-        source = iter(generator)
-        for _ in range(state["drawn"]):
-            next(source)
-        run.pipeline.stream.rebind(source)
+        run.pipeline.stream.rebind(
+            replay_source(run.benchmark, run.seed, state["drawn"]))
         return run
 
     def result(self) -> SimulationResult:

@@ -32,7 +32,6 @@ drawn count and continues bit-identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -46,7 +45,7 @@ from ..trace.stream import TraceStream
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .checkpoint import CheckpointStore, SimulationInterrupted, \
-    spec_checkpoint_key
+    replay_source, spec_checkpoint_key
 from .configs import baseline_config, config_from_tag, default_instructions
 from .simulator import SimulationResult, assemble_run, build_result, \
     make_policy
@@ -404,12 +403,7 @@ class SampledRun:
         run.predictor = state["predictor"]
         run.windows = list(state["windows"])
         run.next_window = state["next_window"]
-        generator = SyntheticTraceGenerator(get_profile(run.benchmark),
-                                            seed=run.seed)
-        source = iter(generator)
-        for _ in range(state["drawn"]):
-            next(source)
-        run._source = source
+        run._source = replay_source(run.benchmark, run.seed, state["drawn"])
         run._drawn = state["drawn"]
         return run
 

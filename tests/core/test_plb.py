@@ -197,19 +197,9 @@ def test_rebind_clears_pending_mode():
     assert policy._down_votes == fresh._down_votes
 
 
-def test_narrow_machine_keeps_a_bus_and_port_in_every_mode():
+def test_plb_ext_completes_every_benchmark_on_width_4():
     """On ``width=4`` the 4-wide mode used to disable all four result
     buses, so nothing could complete and the pipeline deadlocked."""
-    from repro.sim.configs import config_from_tag
-    policy = PLBPolicy(extended=True)
-    policy.bind(config_from_tag("width=4"))
-    for plan in policy._mode_plans.values():
-        cons = plan.constraints
-        assert cons.result_buses >= 1 and cons.dcache_ports >= 1
-        assert cons.issue_width <= 4
-
-
-def test_plb_ext_completes_every_benchmark_on_width_4():
     from repro.sim import Simulator
     from repro.sim.configs import config_from_tag
     from repro.workloads import ALL_BENCHMARKS

@@ -1,15 +1,11 @@
 """Per-cycle golden: the cycle core's full CycleUsage stream, pinned.
 
 ``golden/usage_streams.json`` holds, per regime, the cycle count and a
-SHA-256 over the canonical JSON of every :class:`CycleUsage` the core
-emitted — so it pins spill drain order, squash filtering and every
-per-cycle field, not just end-of-run totals.  The regimes are the ones
-that stress the core's event calendars hardest: wrong-path squashes,
-a restricted result-bus count (spill every cycle), and both at once.
-A pipetrace digest pins the per-op capture the same way.
-
-Canonical JSON writes ``FUClass`` keys and grant classes as plain ints,
-so the digest is the same on every supported Python version.
+SHA-256 over the canonical JSON of every :class:`CycleUsage` — so it
+pins spill drain order, squash filtering and every per-cycle field, not
+just end-of-run totals — plus a digest of a wrong-path pipetrace.
+Canonical JSON writes ``FUClass`` values as plain ints, so the digests
+are the same on every supported Python version.
 
 If a deliberate model change moves these streams, regenerate with
 ``python tests/integration/test_usage_golden.py`` and say so in the
@@ -31,7 +27,8 @@ from repro.workloads import SyntheticTraceGenerator, get_profile
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "usage_streams.json")
 
-#: name -> (benchmark, policy factory, config, instructions, seed)
+#: name -> (benchmark, policy class, config, instructions, seed): the
+#: regimes that stress the event calendars hardest
 REGIMES = {
     "wrong-path": ("gcc", DCGPolicy,
                    MachineConfig(model_wrong_path=True), 2000, 7),
@@ -45,9 +42,6 @@ REGIMES = {
         MachineConfig(result_buses=2, model_wrong_path=True), 3000, None),
 }
 
-#: ops captured for the pipetrace digest (wrong-path gcc)
-PIPETRACE_OPS = 64
-
 
 def _canonical(value):
     if isinstance(value, dict):
@@ -57,39 +51,35 @@ def _canonical(value):
     return int(value) if isinstance(value, FUClass) else value
 
 
-def _build(core_cls, regime):
+def _run(regime, observe=None, capture=0):
     benchmark, policy_cls, config, instructions, seed = REGIMES[regime]
     generator = SyntheticTraceGenerator(get_profile(benchmark), seed=seed)
-    pipe = core_cls(config, TraceStream(iter(generator),
-                                        limit=instructions), policy_cls())
+    pipe = Pipeline(config, TraceStream(iter(generator), limit=instructions),
+                    policy_cls())
     generator.prewarm(pipe.hierarchy)
-    return pipe, instructions
+    if observe is not None:
+        pipe.add_observer(observe)
+    pipe.capture_ops(capture)
+    pipe.run(max_instructions=instructions)
+    return pipe
 
 
-def usage_digest(core_cls, regime):
+def usage_digest(regime):
     """``{"cycles": N, "sha256": hex}`` of one regime's usage stream."""
-    pipe, instructions = _build(core_cls, regime)
     digest = hashlib.sha256()
-    count = [0]
 
     def observe(usage, decision):
         record = {name: _canonical(getattr(usage, name))
                   for name in CycleUsage.__slots__}
         digest.update(json.dumps(record, sort_keys=True,
-                                 separators=(",", ":")).encode())
-        digest.update(b"\n")
-        count[0] += 1
+                                 separators=(",", ":")).encode() + b"\n")
 
-    pipe.add_observer(observe)
-    pipe.run(max_instructions=instructions)
-    assert count[0] == pipe.stats.cycles
-    return {"cycles": count[0], "sha256": digest.hexdigest()}
+    pipe = _run(regime, observe)
+    return {"cycles": pipe.stats.cycles, "sha256": digest.hexdigest()}
 
 
-def pipetrace_digest(core_cls):
-    pipe, instructions = _build(core_cls, "wrong-path")
-    pipe.capture_ops(PIPETRACE_OPS)
-    pipe.run(max_instructions=instructions)
+def pipetrace_digest():
+    pipe = _run("wrong-path", capture=64)
     text = render_pipetrace(pipe.captured_ops, max_cycles=400)
     return {"ops": len(pipe.captured_ops),
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
@@ -102,11 +92,11 @@ def _load_golden():
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_usage_stream_matches_golden(regime):
-    assert usage_digest(Pipeline, regime) == _load_golden()["usage"][regime]
+    assert usage_digest(regime) == _load_golden()["usage"][regime]
 
 
 def test_pipetrace_matches_golden():
-    assert pipetrace_digest(Pipeline) == _load_golden()["pipetrace"]
+    assert pipetrace_digest() == _load_golden()["pipetrace"]
 
 
 def test_golden_covers_every_regime():
@@ -114,9 +104,9 @@ def test_golden_covers_every_regime():
 
 
 if __name__ == "__main__":   # pragma: no cover - golden regeneration aid
-    golden = {"usage": {regime: usage_digest(Pipeline, regime)
+    golden = {"usage": {regime: usage_digest(regime)
                         for regime in sorted(REGIMES)},
-              "pipetrace": pipetrace_digest(Pipeline)}
+              "pipetrace": pipetrace_digest()}
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=2, sort_keys=True)
         handle.write("\n")

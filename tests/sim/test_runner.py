@@ -145,21 +145,6 @@ def test_cached_walks_memory_then_disk(tmp_path):
     assert second.cached(spec)[1] == "memory"
 
 
-def test_cached_keys_on_the_whole_spec(tmp_path):
-    """Seed, budget and sample plan are part of the cache key: a lookup
-    that differs only there must miss, in memory and on disk."""
-    from dataclasses import replace
-    from repro.sim import ResultCache
-    runner = ExperimentRunner(instructions=900,
-                              cache=ResultCache(str(tmp_path)))
-    runner.run("gzip", "dcg")
-    spec = runner._spec("gzip", "dcg", "baseline")
-    assert runner.cached(spec)[1] == "memory"
-    for other in (replace(spec, seed=77), replace(spec, instructions=800),
-                  replace(spec, sample="3x100")):
-        assert runner.cached(other) is None
-
-
 def test_memoise_spec_feeds_both_cache_layers(tmp_path):
     from repro.sim import ResultCache
     root = str(tmp_path / "cache")
