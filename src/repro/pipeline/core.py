@@ -84,32 +84,25 @@ _DEADLOCK_LIMIT = 50_000
 
 _F_LOAD, _F_STORE, _F_MEM, _F_BRANCH, _F_FP = 1, 2, 4, 8, 16
 
-_N_CLASSES = len(OpClass)
 _LATENCY: Tuple[int, ...] = tuple(
     FU_LATENCY[cls].latency for cls in OpClass)
 _PIPELINED: Tuple[bool, ...] = tuple(
     FU_LATENCY[cls].pipelined for cls in OpClass)
 
-
-def _class_flags(cls: OpClass) -> int:
-    probe = MicroOp(0, 0, cls,
-                    mem_addr=0 if cls in (OpClass.LOAD, OpClass.STORE)
-                    else None,
-                    taken=False)
-    return ((_F_LOAD if probe.is_load else 0)
-            | (_F_STORE if probe.is_store else 0)
-            | (_F_MEM if probe.is_mem else 0)
-            | (_F_BRANCH if probe.is_branch else 0)
-            | (_F_FP if probe.is_fp else 0))
-
-
-_FLAGS: Tuple[int, ...] = tuple(_class_flags(cls) for cls in OpClass)
-#: FUClass *index* (int) per op class, matching funits' dispatch table
-_FU_OF: Tuple[int, ...] = tuple(
-    int(MicroOp(0, 0, cls,
-                mem_addr=0 if cls in (OpClass.LOAD, OpClass.STORE)
-                else None).fu_class)
+#: one representative MicroOp per op class, to read its derived flags
+_PROBES: Tuple[MicroOp, ...] = tuple(
+    MicroOp(0, 0, cls, mem_addr=0 if cls in (OpClass.LOAD, OpClass.STORE)
+            else None, taken=False)
     for cls in OpClass)
+_FLAGS: Tuple[int, ...] = tuple(
+    (_F_LOAD if probe.is_load else 0)
+    | (_F_STORE if probe.is_store else 0)
+    | (_F_MEM if probe.is_mem else 0)
+    | (_F_BRANCH if probe.is_branch else 0)
+    | (_F_FP if probe.is_fp else 0)
+    for probe in _PROBES)
+#: FUClass *index* (int) per op class, matching funits' dispatch table
+_FU_OF: Tuple[int, ...] = tuple(int(probe.fu_class) for probe in _PROBES)
 _FU_MEMBERS: Tuple[FUClass, ...] = tuple(FUClass)
 _MEM_PORT = int(FUClass.MEM_PORT)
 

@@ -75,4 +75,3 @@ def test_spill_under_squash_stays_within_one_bus():
     stats = pipe.run(max_instructions=2000)
     assert stats.wrong_path_squashed > 0
     assert max(buses) == 1
-    assert sum(buses) <= stats.committed + stats.wrong_path_fetched
