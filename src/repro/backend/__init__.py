@@ -1,11 +1,9 @@
-"""Back-end components: functional units."""
+"""Back-end components: functional-unit latencies, counts and policies."""
 
 from .funits import (
     AllocationPolicy,
     DEFAULT_FU_COUNTS,
     FU_LATENCY,
-    FUInstance,
-    FUPool,
     FUSpec,
 )
 
@@ -13,7 +11,5 @@ __all__ = [
     "AllocationPolicy",
     "DEFAULT_FU_COUNTS",
     "FU_LATENCY",
-    "FUInstance",
-    "FUPool",
     "FUSpec",
 ]

@@ -1,23 +1,24 @@
-"""Functional-unit pool with instance-level allocation.
+"""Functional-unit latencies, counts and allocation policies.
 
 The paper's Table 1 machine has 6 integer ALUs, 2 integer
 multiply/divide units, 4 FP ALUs, and 4 FP multiply/divide units, plus
 2 D-cache ports.  DCG's §3.1 allocates instructions to unit *instances*
 with a static sequential-priority policy so low-index units stay busy
 and high-index units stay gated, minimising clock-gate toggling (the
-round-robin alternative is kept for the ablation study).
+round-robin alternative is kept for the ablation study).  The cycle
+core does the allocation itself, over per-class int columns
+(:meth:`repro.pipeline.core.Pipeline._allocate`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..trace.uop import FUClass, OpClass
 
-__all__ = ["AllocationPolicy", "FUSpec", "FU_LATENCY", "FUInstance", "FUPool",
-           "DEFAULT_FU_COUNTS"]
+__all__ = ["AllocationPolicy", "FUSpec", "FU_LATENCY", "DEFAULT_FU_COUNTS"]
 
 
 class AllocationPolicy(enum.Enum):
@@ -60,133 +61,3 @@ DEFAULT_FU_COUNTS: Dict[FUClass, int] = {
     FUClass.MEM_PORT: 2,
 }
 
-
-class FUInstance:
-    """One functional-unit instance.
-
-    ``busy_until`` guards structural availability (an unpipelined unit
-    is busy for the whole operation); ``active_until`` tracks the last
-    cycle any stage of the unit holds an in-flight op, which is what
-    clock gating cares about.
-    """
-
-    __slots__ = ("fu_class", "index", "busy_until", "active_until",
-                 "uses", "active_cycles_accounted")
-
-    def __init__(self, fu_class: FUClass, index: int) -> None:
-        self.fu_class = fu_class
-        self.index = index
-        self.busy_until = -1
-        self.active_until = -1
-        self.uses = 0
-
-    def available(self, cycle: int) -> bool:
-        return self.busy_until < cycle
-
-    def allocate(self, cycle: int, spec: FUSpec) -> None:
-        if not self.available(cycle):
-            raise RuntimeError(
-                f"{self.fu_class.name}[{self.index}] double-booked at {cycle}")
-        self.busy_until = cycle + (spec.latency - 1 if not spec.pipelined else 0)
-        self.active_until = max(self.active_until, cycle + spec.latency - 1)
-        self.uses += 1
-
-    def active(self, cycle: int) -> bool:
-        """Does some stage of this unit hold an op at ``cycle``?"""
-        return cycle <= self.active_until
-
-
-class FUPool:
-    """All functional-unit instances plus the allocation policy.
-
-    ``disabled`` instances (used by PLB's low-power modes) are skipped
-    during allocation; the pipeline simply cannot issue to them.
-    """
-
-    def __init__(self, counts: Optional[Dict[FUClass, int]] = None,
-                 policy: AllocationPolicy = AllocationPolicy.SEQUENTIAL_PRIORITY) -> None:
-        self.counts = dict(DEFAULT_FU_COUNTS if counts is None else counts)
-        for fu_class, count in self.counts.items():
-            if count < 0:
-                raise ValueError(f"negative count for {fu_class.name}")
-        self.policy = policy
-        self.units: Dict[FUClass, List[FUInstance]] = {
-            fu_class: [FUInstance(fu_class, i) for i in range(count)]
-            for fu_class, count in self.counts.items()
-        }
-        self._rr_next: Dict[FUClass, int] = {cls: 0 for cls in self.units}
-        self._disabled: Dict[FUClass, int] = {cls: 0 for cls in self.units}
-
-    # -- PLB support ------------------------------------------------------
-
-    def set_disabled(self, fu_class: FUClass, count: int) -> None:
-        """Disable the ``count`` highest-index instances of ``fu_class``."""
-        total = len(self.units[fu_class])
-        if not 0 <= count <= total:
-            raise ValueError(
-                f"cannot disable {count} of {total} {fu_class.name} units")
-        self._disabled[fu_class] = count
-
-    def disabled_count(self, fu_class: FUClass) -> int:
-        return self._disabled[fu_class]
-
-    def enabled_units(self, fu_class: FUClass) -> List[FUInstance]:
-        units = self.units[fu_class]
-        limit = len(units) - self._disabled[fu_class]
-        return units[:limit]
-
-    # -- allocation ------------------------------------------------------
-
-    def try_allocate(self, op_class: OpClass, cycle: int) -> Optional[FUInstance]:
-        """Allocate a unit for ``op_class`` starting at ``cycle``.
-
-        Returns the instance, or ``None`` when every enabled instance of
-        the class is structurally busy.
-        """
-        fu_class = _OP_TO_FU[op_class]
-        spec = FU_LATENCY[op_class]
-        units = self.units[fu_class]
-        limit = len(units) - self._disabled[fu_class]
-        if limit <= 0:
-            return None
-        if self.policy is AllocationPolicy.SEQUENTIAL_PRIORITY:
-            # scan enabled instances in index order without slicing — this
-            # is the hottest allocation path and low-index units win ties
-            for i in range(limit):
-                unit = units[i]
-                if unit.busy_until < cycle:
-                    unit.allocate(cycle, spec)
-                    return unit
-            return None
-        start = self._rr_next[fu_class] % limit
-        enabled = units[:limit]
-        for unit in enabled[start:] + enabled[:start]:
-            if unit.busy_until < cycle:
-                unit.allocate(cycle, spec)
-                self._rr_next[fu_class] = unit.index + 1
-                return unit
-        return None
-
-    # -- power/gating queries -----------------------------------------------
-
-    def active_mask(self, fu_class: FUClass, cycle: int) -> Tuple[bool, ...]:
-        """Per-instance activity at ``cycle`` (True = op in flight)."""
-        return tuple(unit.active(cycle) for unit in self.units[fu_class])
-
-    def total_units(self) -> int:
-        return sum(len(units) for units in self.units.values())
-
-
-# local copy to avoid importing the private mapping from repro.trace.uop
-_OP_TO_FU: Dict[OpClass, FUClass] = {
-    OpClass.IALU: FUClass.INT_ALU,
-    OpClass.IMUL: FUClass.INT_MULT,
-    OpClass.IDIV: FUClass.INT_MULT,
-    OpClass.FPALU: FUClass.FP_ALU,
-    OpClass.FPMUL: FUClass.FP_MULT,
-    OpClass.FPDIV: FUClass.FP_MULT,
-    OpClass.LOAD: FUClass.MEM_PORT,
-    OpClass.STORE: FUClass.MEM_PORT,
-    OpClass.BRANCH: FUClass.INT_ALU,
-    OpClass.NOP: FUClass.INT_ALU,
-}

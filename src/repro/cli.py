@@ -9,8 +9,6 @@ Subcommands
 ``budget``   print the per-structure power budget of a configuration
 ``bench``    list the available benchmark profiles
 ``serve``    run the simulation service (job queue + HTTP API)
-``gateway``  front N shard servers behind one consistent-hash router
-``cache-tier``  serve a shared result cache all shards read/write
 ``drain``    ask a running service to stop accepting new work
 ``submit``   submit one run to a running service
 ``events``   tail or summarize a run journal (``REPRO_LOG_DIR``)
@@ -183,38 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "<state-dir>/checkpoints when --state-dir is "
                             "set); long and sampled runs resume from "
                             "their last checkpoint after a crash/drain")
-    serve.add_argument("--shard-of", default=None, metavar="LABEL",
-                       help="federation shard label (e.g. shard0); "
-                            "surfaces in /healthz and journal events so "
-                            "a multi-node trace names the shard")
-    serve.add_argument("--cache-tier", default=None, metavar="URL",
-                       help="shared cache-tier URL (repro cache-tier); "
-                            "replaces the local disk cache so results "
-                            "dedup fleet-wide")
-
-    gateway = sub.add_parser(
-        "gateway",
-        help="front N shard servers behind one consistent-hash router")
-    gateway.add_argument("--host", default="127.0.0.1")
-    gateway.add_argument("--port", type=int, default=8700)
-    gateway.add_argument("--shards", required=True, metavar="URLS",
-                         help="comma-separated shard URLs "
-                              "(e.g. http://h1:8765,http://h2:8765)")
-    gateway.add_argument("--replicas", type=_positive_int, default=64,
-                         help="virtual nodes per shard on the hash ring")
-    gateway.add_argument("--verbose", action="store_true",
-                         help="log every HTTP request")
-
-    cache_tier = sub.add_parser(
-        "cache-tier",
-        help="serve a shared result cache all shards read/write")
-    cache_tier.add_argument("--host", default="127.0.0.1")
-    cache_tier.add_argument("--port", type=int, default=8766)
-    cache_tier.add_argument("--root", default=None, metavar="DIR",
-                            help="cache directory "
-                                 "(default: $REPRO_CACHE_DIR)")
-    cache_tier.add_argument("--verbose", action="store_true",
-                            help="log every HTTP request")
 
     drain = sub.add_parser(
         "drain", help="ask a running service to stop accepting new work")
@@ -460,27 +426,23 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .faults import get_plan
-    from .service import CacheTierClient, SimulationService
+    from .service import SimulationService
     from .service.server import serve as serve_service
     workers = _jobs_or_exit(args, default=2)
-    cache = CacheTierClient(args.cache_tier) if args.cache_tier else None
     service = SimulationService(instructions=args.instructions,
                                 workers=workers,
                                 queue_depth=args.queue_depth,
                                 timeout=args.timeout,
-                                cache=cache,
                                 state_dir=args.state_dir,
-                                shard_id=args.shard_of,
                                 checkpoint_dir=args.checkpoint_dir)
     cache_note = service.runner.cache.root or "off (set REPRO_CACHE_DIR)"
     state_note = service.state_dir or "off (set REPRO_STATE_DIR)"
     ckpt_note = service.checkpoint_dir or "off"
-    shard_note = f", shard {args.shard_of}" if args.shard_of else ""
     print(f"repro service on http://{args.host}:{args.port}  "
           f"[{workers} worker(s), queue depth {args.queue_depth}, "
           f"disk cache {cache_note}, state {state_note}, "
           f"checkpoints {ckpt_note}, "
-          f"faults {get_plan().describe()}{shard_note}]", file=sys.stderr)
+          f"faults {get_plan().describe()}]", file=sys.stderr)
     if service.queue.restored:
         print(f"restored {service.queue.restored} outstanding job(s) "
               "from the queue journal", file=sys.stderr)
@@ -490,46 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"shutdown: {accepted} jobs accepted, {counters['done']} done, "
           f"{counters['failed']} failed, {counters['requeued']} re-queued, "
           f"{service.queue.depth} still queued", file=sys.stderr)
-    return 0
-
-
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    from .service.gateway import Gateway, serve_gateway
-    shards = [url for url in
-              (part.strip() for part in args.shards.split(","))
-              if url]
-    if not shards:
-        raise SystemExit("--shards needs at least one URL")
-    try:
-        gateway = Gateway(shards, replicas=args.replicas)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(f"repro gateway on http://{args.host}:{args.port}  "
-          f"[{len(shards)} shard(s): {', '.join(gateway.shards)}]",
-          file=sys.stderr)
-    serve_gateway(gateway, host=args.host, port=args.port,
-                  verbose=args.verbose)
-    metrics = gateway.metrics()["gateway"]
-    print(f"shutdown: {sum(metrics['routed'].values())} jobs routed, "
-          f"{metrics['failovers']} failover(s), "
-          f"{metrics['lost_lookups']} lost lookup(s)", file=sys.stderr)
-    return 0
-
-
-def _cmd_cache_tier(args: argparse.Namespace) -> int:
-    from .service.cachetier import CacheTierService, serve_cache_tier
-    from .sim import ResultCache
-    try:
-        tier = CacheTierService(ResultCache(args.root))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(f"repro cache tier on http://{args.host}:{args.port}  "
-          f"[root {tier.cache.root}]", file=sys.stderr)
-    serve_cache_tier(tier, host=args.host, port=args.port,
-                     verbose=args.verbose)
-    metrics = tier.metrics()
-    print(f"shutdown: {metrics['hits']} hits, {metrics['misses']} misses, "
-          f"{metrics['stores']} stores", file=sys.stderr)
     return 0
 
 
@@ -615,8 +537,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "bench-perf": _cmd_bench_perf,
     "serve": _cmd_serve,
-    "gateway": _cmd_gateway,
-    "cache-tier": _cmd_cache_tier,
     "drain": _cmd_drain,
     "submit": _cmd_submit,
     "events": _cmd_events,

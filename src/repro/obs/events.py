@@ -150,6 +150,23 @@ _journal: Optional[EventJournal] = None
 _journal_lock = threading.Lock()
 
 
+def _reinit_locks_in_child() -> None:
+    """Fresh locks in a forked child.
+
+    A fork taken while another thread was mid-emit copies its held
+    lock into the child, where nobody will ever release it: the
+    child's first event (a worker subprocess's ``sim.start``) would
+    hang until the job timeout kills it.
+    """
+    global _journal_lock
+    _journal_lock = threading.Lock()
+    if _journal is not None:
+        _journal._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_locks_in_child)
+
+
 def get_journal() -> EventJournal:
     """The process-wide journal, resolved from the environment once.
 

@@ -128,6 +128,13 @@ class MachineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.mispredict_redirect < 0:
             raise ValueError("mispredict_redirect must be non-negative")
+        # a class with no units can never issue its ops: the core would
+        # spin until the deadlock watchdog fires
+        for fu_class in FUClass:
+            count = self.fu_counts.get(fu_class, 0)
+            if count < 1:
+                raise ValueError(
+                    f"{fu_class.name} unit count must be >= 1, got {count}")
 
     @property
     def dcache_ports(self) -> int:

@@ -101,7 +101,7 @@ _FLAGS: Tuple[int, ...] = tuple(
     | (_F_BRANCH if probe.is_branch else 0)
     | (_F_FP if probe.is_fp else 0)
     for probe in _PROBES)
-#: FUClass *index* (int) per op class, matching funits' dispatch table
+#: FUClass *index* (int) per op class
 _FU_OF: Tuple[int, ...] = tuple(int(probe.fu_class) for probe in _PROBES)
 _FU_MEMBERS: Tuple[FUClass, ...] = tuple(FUClass)
 _MEM_PORT = int(FUClass.MEM_PORT)

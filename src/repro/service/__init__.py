@@ -7,13 +7,9 @@ from the cache.  ``python -m repro serve`` boots it; ``python -m repro
 submit`` and :class:`ServiceClient` talk to it.
 """
 
-from .cachetier import (CacheTierClient, CacheTierServer, CacheTierService,
-                        serve_cache_tier)
 from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
                      ServiceClient, ServiceClosed, ServiceError,
                      ServiceTimeout, default_server_url)
-from .gateway import Gateway, GatewayServer, serve_gateway
-from .hashring import HashRing
 from .jobs import (Job, JobQueue, JobState, QueueClosed, QueueFull,
                    make_spec, spec_fingerprint, validate_spec)
 from .persist import (STATE_DIR_ENV_VAR, PendingJob, QueueJournal)
@@ -22,13 +18,7 @@ from .workers import JobTimeout, ShutdownRequested, WorkerCrash, WorkerPool
 
 __all__ = [
     "BackpressureError",
-    "CacheTierClient",
-    "CacheTierServer",
-    "CacheTierService",
     "DEADLINE_HEADER",
-    "Gateway",
-    "GatewayServer",
-    "HashRing",
     "Job",
     "JobFailed",
     "JobQueue",
@@ -51,8 +41,6 @@ __all__ = [
     "default_server_url",
     "make_spec",
     "serve",
-    "serve_cache_tier",
-    "serve_gateway",
     "spec_fingerprint",
     "validate_spec",
 ]

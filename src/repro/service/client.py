@@ -215,8 +215,7 @@ class ServiceClient:
 
         A single server-side wait window — raises
         :class:`ServiceTimeout` when it expires.  :meth:`result` wraps
-        this in a re-polling loop; the federation gateway forwards the
-        payload verbatim.
+        this in a re-polling loop.
         """
         return self._request(
             "GET", f"/v1/runs/{job_id}/result?timeout={timeout:.3f}",

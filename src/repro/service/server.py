@@ -84,13 +84,8 @@ class SimulationService:
                  compute=None,
                  degraded_after: float = 30.0,
                  state_dir: Optional[str] = None,
-                 shard_id: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None) -> None:
         self.registry = MetricsRegistry()
-        #: federation label (``repro serve --shard-of``); surfaces in
-        #: /healthz and journal events so a multi-node trace names the
-        #: shard that did the work
-        self.shard_id = shard_id
         self.runner = ExperimentRunner(instructions=instructions,
                                        calibration=calibration, cache=cache)
         if state_dir is None:
@@ -252,8 +247,6 @@ class SimulationService:
             "uptime_seconds": self.uptime_seconds,
             "started_at": self.started_at,
         }
-        if self.shard_id is not None:
-            payload["shard"] = self.shard_id
         if reasons:
             payload["reasons"] = reasons
         return payload

@@ -1,123 +1,18 @@
-"""Functional-unit pool and allocation policies."""
+"""Functional-unit tables: Table 1 counts and per-op-class latencies."""
 
-import pytest
-
-from repro.backend import AllocationPolicy, FU_LATENCY, FUInstance, FUPool
+from repro.backend import DEFAULT_FU_COUNTS, FU_LATENCY
 from repro.trace import FUClass, OpClass
 
 
 def test_default_counts_match_table1():
-    pool = FUPool()
-    assert len(pool.units[FUClass.INT_ALU]) == 6
-    assert len(pool.units[FUClass.INT_MULT]) == 2
-    assert len(pool.units[FUClass.FP_ALU]) == 4
-    assert len(pool.units[FUClass.FP_MULT]) == 4
-    assert pool.total_units() == 18
-
-
-def test_sequential_priority_prefers_lowest_index():
-    pool = FUPool(policy=AllocationPolicy.SEQUENTIAL_PRIORITY)
-    first = pool.try_allocate(OpClass.IALU, 10)
-    second = pool.try_allocate(OpClass.IALU, 10)
-    assert first.index == 0 and second.index == 1
-    # next cycle: unit 0 is free again and must be chosen first
-    third = pool.try_allocate(OpClass.IALU, 11)
-    assert third.index == 0
-
-
-def test_round_robin_rotates():
-    pool = FUPool(policy=AllocationPolicy.ROUND_ROBIN)
-    a = pool.try_allocate(OpClass.IALU, 10)
-    b = pool.try_allocate(OpClass.IALU, 11)
-    c = pool.try_allocate(OpClass.IALU, 12)
-    assert (a.index, b.index, c.index) == (0, 1, 2)
-
-
-def test_allocation_exhaustion():
-    pool = FUPool({FUClass.INT_ALU: 2, FUClass.INT_MULT: 0,
-                   FUClass.FP_ALU: 0, FUClass.FP_MULT: 0,
-                   FUClass.MEM_PORT: 0})
-    assert pool.try_allocate(OpClass.IALU, 5) is not None
-    assert pool.try_allocate(OpClass.IALU, 5) is not None
-    assert pool.try_allocate(OpClass.IALU, 5) is None
-    assert pool.try_allocate(OpClass.IALU, 6) is not None
-
-
-def test_pipelined_unit_accepts_next_cycle():
-    pool = FUPool()
-    unit = pool.try_allocate(OpClass.FPMUL, 10)   # 4-cycle pipelined
-    assert unit.busy_until == 10
-    assert unit.active(13) and not unit.active(14)
-    again = pool.try_allocate(OpClass.FPMUL, 11)
-    assert again is unit  # same unit, new op next cycle
-
-
-def test_unpipelined_divide_blocks():
-    pool = FUPool({FUClass.INT_MULT: 1, FUClass.INT_ALU: 0,
-                   FUClass.FP_ALU: 0, FUClass.FP_MULT: 0,
-                   FUClass.MEM_PORT: 0})
-    unit = pool.try_allocate(OpClass.IDIV, 10)    # 20 cycles, unpipelined
-    assert unit.busy_until == 29
-    assert pool.try_allocate(OpClass.IMUL, 15) is None
-    assert pool.try_allocate(OpClass.IMUL, 30) is unit
-
-
-def test_double_booking_raises():
-    unit = FUInstance(FUClass.INT_ALU, 0)
-    unit.allocate(5, FU_LATENCY[OpClass.IALU])
-    with pytest.raises(RuntimeError, match="double-booked"):
-        unit.allocate(5, FU_LATENCY[OpClass.IALU])
-
-
-def test_disable_removes_highest_index():
-    pool = FUPool()
-    pool.set_disabled(FUClass.INT_ALU, 3)
-    enabled = pool.enabled_units(FUClass.INT_ALU)
-    assert [u.index for u in enabled] == [0, 1, 2]
-    assert pool.disabled_count(FUClass.INT_ALU) == 3
-    # allocation never lands on a disabled instance
-    for _ in range(3):
-        unit = pool.try_allocate(OpClass.IALU, 50)
-        assert unit is not None and unit.index < 3
-    assert pool.try_allocate(OpClass.IALU, 50) is None
-
-
-def test_disable_validation():
-    pool = FUPool()
-    with pytest.raises(ValueError):
-        pool.set_disabled(FUClass.INT_ALU, 7)
-    pool.set_disabled(FUClass.INT_ALU, 0)   # no-op allowed
-
-
-def test_disable_all_blocks_class():
-    pool = FUPool()
-    pool.set_disabled(FUClass.FP_ALU, 4)
-    assert pool.try_allocate(OpClass.FPALU, 10) is None
-
-
-def test_active_mask():
-    pool = FUPool()
-    pool.try_allocate(OpClass.FPALU, 10)      # 2-cycle
-    mask_10 = pool.active_mask(FUClass.FP_ALU, 10)
-    mask_11 = pool.active_mask(FUClass.FP_ALU, 11)
-    mask_12 = pool.active_mask(FUClass.FP_ALU, 12)
-    assert mask_10 == (True, False, False, False)
-    assert mask_11 == (True, False, False, False)
-    assert mask_12 == (False, False, False, False)
+    assert DEFAULT_FU_COUNTS[FUClass.INT_ALU] == 6
+    assert DEFAULT_FU_COUNTS[FUClass.INT_MULT] == 2
+    assert DEFAULT_FU_COUNTS[FUClass.FP_ALU] == 4
+    assert DEFAULT_FU_COUNTS[FUClass.FP_MULT] == 4
+    assert DEFAULT_FU_COUNTS[FUClass.MEM_PORT] == 2
+    assert sum(DEFAULT_FU_COUNTS.values()) == 18
 
 
 def test_latency_table_covers_all_op_classes():
     for op_class in OpClass:
         assert op_class in FU_LATENCY
-
-
-def test_uses_counter():
-    pool = FUPool()
-    pool.try_allocate(OpClass.IALU, 1)
-    pool.try_allocate(OpClass.IALU, 2)
-    assert pool.units[FUClass.INT_ALU][0].uses == 2
-
-
-def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        FUPool({FUClass.INT_ALU: -1})

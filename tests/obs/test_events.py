@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import signal
+import time
 
 from repro.obs import (EventJournal, JOURNAL_FILENAME, SCHEMA_VERSION,
                        configure_journal, get_journal, read_events, span)
@@ -89,6 +91,26 @@ def test_journal_never_raises_on_write_failure(tmp_path):
     journal._dir_ready = True
     journal.emit("sim.start")
     assert journal.dropped == 1
+
+
+def test_forked_child_journals_while_parent_holds_the_lock(tmp_path):
+    """A worker subprocess forked while another thread is mid-emit must
+    not inherit the held lock (its first event used to hang)."""
+    path = str(tmp_path / "events.jsonl")
+    journal = configure_journal(path)
+    with journal._lock:
+        pid = os.fork()
+        if pid == 0:
+            journal.emit("child.event")
+            os._exit(0)
+    deadline = time.monotonic() + 10.0
+    while not os.waitpid(pid, os.WNOHANG)[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError("forked child hung on the journal lock")
+        time.sleep(0.02)
+    assert [e["kind"] for e in read_events(path)] == ["child.event"]
 
 
 def test_golden_event_schema(monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline import BASELINE_DEPTH, DEEP_DEPTH, DepthConfig, MachineConfig
+from repro.sim.configs import config_from_tag
 from repro.trace import FUClass
 
 
@@ -61,3 +62,14 @@ def test_config_validation():
         MachineConfig(issue_width=0)
     with pytest.raises(ValueError):
         MachineConfig(mispredict_redirect=-1)
+
+
+def test_fu_counts_below_one_rejected():
+    # zero units deadlocked the core; a negative count crashed inside it
+    for tag in ("int_alus=0", "int_alus=-2"):
+        with pytest.raises(ValueError,
+                           match="INT_ALU unit count must be >= 1"):
+            config_from_tag(tag)
+    with pytest.raises(ValueError, match="FP_MULT"):
+        MachineConfig(fu_counts={**MachineConfig().fu_counts,
+                                 FUClass.FP_MULT: 0})

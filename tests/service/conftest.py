@@ -1,11 +1,5 @@
 """Shared scaffolding for the service tests.
 
-``Fleet`` boots a whole federation on ephemeral ports — a shared cache
-tier, N shard servers that read and write it, and a gateway routing by
-consistent hash — entirely in-process, so tests can reach into any
-component (``fleet.shards[i].pool``, ``fleet.gateway.ring``) while the
-traffic between them is real HTTP.
-
 The autouse fixture keeps every test hermetic against inherited fault
 plans and journal configuration, mirroring ``tests/faults/conftest.py``
 — the chaos tests here reconfigure both globals.
@@ -17,10 +11,6 @@ import pytest
 
 from repro.faults import configure_faults
 from repro.obs import configure_journal
-from repro.service import (CacheTierClient, CacheTierServer,
-                           CacheTierService, Gateway, GatewayServer,
-                           ServiceServer, SimulationService)
-from repro.sim import ResultCache
 
 
 @pytest.fixture(autouse=True)
@@ -39,72 +29,3 @@ def _isolated_globals(monkeypatch):
     configure_faults(None)
     configure_journal()
 
-
-class Fleet:
-    """Cache tier + shard servers + gateway, all on ephemeral ports."""
-
-    def __init__(self, tmp_path, shards=2, workers=1, instructions=300,
-                 retries=1, backoff=0.05):
-        tier_cache = ResultCache(str(tmp_path / "tier"))
-        self.tier = CacheTierService(tier_cache)
-        self.tier_server = CacheTierServer(self.tier, port=0)
-        self.tier_server.start_background()
-        self.shards = []
-        self.shard_servers = []
-        for index in range(shards):
-            service = SimulationService(
-                instructions=instructions, workers=workers,
-                cache=CacheTierClient(self.tier_server.url,
-                                      retries=2, backoff=0.01),
-                shard_id=f"shard{index}")
-            server = ServiceServer(service, port=0)
-            server.start_background()
-            self.shards.append(service)
-            self.shard_servers.append(server)
-        self.gateway = Gateway([s.url for s in self.shard_servers],
-                               retries=retries, backoff=backoff)
-        self.gateway_server = GatewayServer(self.gateway, port=0)
-        self.gateway_server.start_background()
-        self.url = self.gateway_server.url
-
-    def simulated(self):
-        """Per-shard count of simulations actually performed."""
-        return [s.pool.metrics()["simulated"] for s in self.shards]
-
-    def kill_shard(self, index):
-        """Hard-stop one shard's HTTP endpoint (simulated crash)."""
-        self.shard_servers[index].shutdown()
-        self.shard_servers[index].server_close()
-        self.shards[index].stop()
-
-    def close(self):
-        self.gateway_server.shutdown()
-        self.gateway_server.server_close()
-        for index, server in enumerate(self.shard_servers):
-            try:
-                server.shutdown()
-                server.server_close()
-            except OSError:
-                pass
-            self.shards[index].stop()
-        self.tier_server.shutdown()
-        self.tier_server.server_close()
-
-
-@pytest.fixture
-def make_fleet(tmp_path):
-    fleets = []
-
-    def factory(**kwargs):
-        fleet = Fleet(tmp_path, **kwargs)
-        fleets.append(fleet)
-        return fleet
-
-    yield factory
-    for fleet in fleets:
-        fleet.close()
-
-
-@pytest.fixture
-def fleet(make_fleet):
-    return make_fleet()

@@ -106,8 +106,3 @@ def test_uptime_survives_wall_clock_step(monkeypatch, tmp_path):
                 if l.startswith("repro_service_uptime_seconds "))
     assert float(line.split()[-1]) >= 0.0
 
-
-def test_shard_id_surfaces_in_health():
-    service = SimulationService(instructions=300, workers=1,
-                                cache=ResultCache(""), shard_id="shard7")
-    assert service.health()["shard"] == "shard7"

@@ -1,7 +1,10 @@
 """End-to-end service tests over real HTTP on an ephemeral port."""
 
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -126,9 +129,28 @@ def test_bad_requests_are_400(service_url):
     with pytest.raises(ServiceError, match="policy") as excinfo:
         client.submit_one(benchmark="gzip", policy="warp-drive")
     assert excinfo.value.status == 400
+    for tag in ("int_alus=0", "int_alus=-2"):
+        with pytest.raises(ServiceError, match="unit count") as excinfo:
+            client.submit_one(benchmark="gzip", tag=tag)
+        assert excinfo.value.status == 400
     with pytest.raises(ServiceError, match="no such job") as excinfo:
         client.status("feedfacecafe")
     assert excinfo.value.status == 404
+    # malformed bodies and unknown endpoints, sent raw past the client
+    for method, path, body, status, error in (
+            ("POST", "/v1/runs", b"", 400, "empty request body"),
+            ("POST", "/v1/runs", b"[1,2]", 400,
+             "request body must be a JSON object"),
+            ("POST", "/v1/runs", b"{bad", 400, ""),
+            ("POST", "/v1/nope", b"{}", 404, "no such endpoint"),
+            ("GET", "/v1/nope", None, 404, "no such endpoint")):
+        request = urllib.request.Request(f"{url}{path}", data=body,
+                                         method=method)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == status, (method, path, body)
+        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        assert payload["error"] and payload["error"].startswith(error)
 
 
 def test_backpressure_over_http(tmp_path):
