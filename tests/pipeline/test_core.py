@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.backend import AllocationPolicy
-from repro.core import CycleConstraints, NoGatingPolicy
+from repro.core import NoGatingPolicy
 from repro.pipeline import MachineConfig, Pipeline
 from repro.pipeline.config import DEEP_DEPTH
-from repro.trace import FUClass, MicroOp, OpClass, TraceStream
+from repro.trace import MicroOp, OpClass, TraceStream
 
 
 def _ops_independent(n, op_class=OpClass.IALU, start_pc=0x1000):
@@ -238,92 +237,3 @@ def test_stats_summary_renders():
     __, stats = _run(_ops_independent(50))
     text = stats.summary()
     assert "IPC" in text and "cycles" in text
-
-
-# -- functional-unit allocation (Pipeline._allocate) ------------------------
-
-_ALU = int(FUClass.INT_ALU)
-_MULT = int(FUClass.INT_MULT)
-_FP_ALU = int(FUClass.FP_ALU)
-_FP_MULT = int(FUClass.FP_MULT)
-
-
-class _DisablingPolicy(NoGatingPolicy):
-    """Full machine minus the highest-index units named in ``disabled``,
-    the way PLB's narrow modes withhold them."""
-
-    def __init__(self, disabled):
-        self.disabled = disabled
-
-    def bind(self, config):
-        super().bind(config)
-        self._cons = CycleConstraints(
-            config.issue_width, config.decode_width, config.dcache_ports,
-            config.result_buses, disabled_fus=self.disabled)
-
-    def constraints(self, cycle):
-        return self._cons
-
-
-def _idle_pipe(config=None):
-    return Pipeline(config or MachineConfig(), TraceStream([]),
-                    NoGatingPolicy())
-
-
-def test_sequential_priority_prefers_lowest_index():
-    pipe = _idle_pipe()
-    assert pipe._allocate(_ALU, OpClass.IALU, 10) == 0
-    assert pipe._allocate(_ALU, OpClass.IALU, 10) == 1
-    # next cycle unit 0 is free again and must be chosen first
-    assert pipe._allocate(_ALU, OpClass.IALU, 11) == 0
-
-
-def test_round_robin_rotates():
-    pipe = _idle_pipe(MachineConfig(fu_policy=AllocationPolicy.ROUND_ROBIN))
-    assert [pipe._allocate(_ALU, OpClass.IALU, cycle)
-            for cycle in (10, 11, 12)] == [0, 1, 2]
-
-
-def test_allocation_exhaustion():
-    pipe = _idle_pipe(MachineConfig().with_int_alus(2))
-    assert [pipe._allocate(_ALU, OpClass.IALU, 5)
-            for _ in range(3)] == [0, 1, -1]
-    assert pipe._allocate(_ALU, OpClass.IALU, 6) == 0
-
-
-def test_unpipelined_divide_blocks():
-    pipe = _idle_pipe()
-    # a pipelined 4-cycle multiply takes a new op on the next cycle...
-    assert pipe._allocate(_FP_MULT, OpClass.FPMUL, 10) == 0
-    assert pipe._allocate(_FP_MULT, OpClass.FPMUL, 11) == 0
-    # ...but a 20-cycle unpipelined divide holds its unit through 29
-    assert pipe._allocate(_MULT, OpClass.IDIV, 10) == 0
-    for cycle in (15, 29):
-        assert pipe._allocate(_MULT, OpClass.IMUL, cycle) == 1
-        assert pipe._allocate(_MULT, OpClass.IMUL, cycle) == -1
-    assert pipe._allocate(_MULT, OpClass.IMUL, 30) == 0
-
-
-def test_disable_removes_highest_index():
-    ops = _ops_independent(300)
-    pipe = Pipeline(MachineConfig(), TraceStream(ops),
-                    _DisablingPolicy({FUClass.INT_ALU: 3,
-                                      FUClass.FP_ALU: 4}))
-    _warm_icache(pipe, ops)
-    used = set()
-    pipe.add_observer(lambda usage, _decision: used.update(
-        i for i, on in enumerate(usage.fu_active[FUClass.INT_ALU]) if on))
-    pipe.run()
-    assert used == {0, 1, 2}
-    # the withheld units stay out of reach, a fully withheld class too
-    cycle = pipe.cycle + 100
-    assert [pipe._allocate(_ALU, OpClass.IALU, cycle)
-            for _ in range(4)] == [0, 1, 2, -1]
-    assert pipe._allocate(_FP_ALU, OpClass.FPALU, cycle) == -1
-
-
-def test_disable_validation():
-    pipe = Pipeline(MachineConfig(), TraceStream(_ops_independent(10)),
-                    _DisablingPolicy({FUClass.INT_ALU: 7}))
-    with pytest.raises(ValueError, match="cannot disable 7 of 6 INT_ALU"):
-        pipe.run()
