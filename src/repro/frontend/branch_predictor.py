@@ -64,26 +64,25 @@ class TwoLevelPredictor:
         self._pht: List[int] = [2] * l2_entries  # weakly taken
         self._hist_mask = (1 << history_bits) - 1
 
-    def _l1_index(self, pc: int) -> int:
-        return (pc >> 2) % self.l1_entries
-
-    def _l2_index(self, pc: int, history: int) -> int:
-        return (history ^ (pc >> 2)) % self.l2_entries
-
     def predict(self, pc: int) -> bool:
-        history = self._history[self._l1_index(pc)]
-        return self._pht[self._l2_index(pc, history)] >= 2
+        word = pc >> 2
+        history = self._history[word % self.l1_entries]
+        return self._pht[(history ^ word) % self.l2_entries] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        l1 = self._l1_index(pc)
+        word = pc >> 2
+        l1 = word % self.l1_entries
         history = self._history[l1]
-        l2 = self._l2_index(pc, history)
+        l2 = (history ^ word) % self.l2_entries
         counter = self._pht[l2]
         if taken:
-            self._pht[l2] = min(3, counter + 1)
+            if counter < 3:
+                self._pht[l2] = counter + 1
+            self._history[l1] = ((history << 1) | 1) & self._hist_mask
         else:
-            self._pht[l2] = max(0, counter - 1)
-        self._history[l1] = ((history << 1) | int(taken)) & self._hist_mask
+            if counter > 0:
+                self._pht[l2] = counter - 1
+            self._history[l1] = (history << 1) & self._hist_mask
 
 
 class BranchTargetBuffer:
@@ -97,26 +96,21 @@ class BranchTargetBuffer:
         self.num_sets = entries // assoc
         self._sets: List[dict] = [dict() for _ in range(self.num_sets)]
 
-    def _set_tag(self, pc: int) -> Tuple[dict, int]:
-        index = (pc >> 2) % self.num_sets
-        tag = (pc >> 2) // self.num_sets
-        return self._sets[index], tag
-
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for the branch at ``pc``, or ``None``."""
-        entries, tag = self._set_tag(pc)
-        target = entries.get(tag)
-        if target is None:
-            return None
-        del entries[tag]       # LRU refresh
-        entries[tag] = target
+        word = pc >> 2
+        entries = self._sets[word % self.num_sets]
+        tag = word // self.num_sets
+        target = entries.pop(tag, None)
+        if target is not None:
+            entries[tag] = target      # LRU refresh
         return target
 
     def update(self, pc: int, target: int) -> None:
-        entries, tag = self._set_tag(pc)
-        if tag in entries:
-            del entries[tag]
-        elif len(entries) >= self.assoc:
+        word = pc >> 2
+        entries = self._sets[word % self.num_sets]
+        tag = word // self.num_sets
+        if entries.pop(tag, None) is None and len(entries) >= self.assoc:
             del entries[next(iter(entries))]
         entries[tag] = target
 
@@ -161,14 +155,14 @@ class BranchPredictor:
         self.stats = PredictorStats()
 
     def predict(self, pc: int) -> Tuple[bool, Optional[int]]:
-        taken = self.direction.predict(pc)
-        target = self.btb.lookup(pc) if taken else None
-        if taken and target is None:
+        if not self.direction.predict(pc):
+            return False, None
+        target = self.btb.lookup(pc)
+        if target is None:
             self.stats.btb_misses += 1
             return False, None
-        if taken:
-            self.stats.btb_hits += 1
-        return taken, target
+        self.stats.btb_hits += 1
+        return True, target
 
     def resolve(self, pc: int, predicted_taken: bool,
                 predicted_target: Optional[int],

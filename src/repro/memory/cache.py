@@ -42,14 +42,6 @@ class CacheStats:
         return self.misses / total if total else 0.0
 
 
-class _Line:
-    __slots__ = ("tag", "dirty")
-
-    def __init__(self, tag: int) -> None:
-        self.tag = tag
-        self.dirty = False
-
-
 class Cache(MemoryLevel):
     """One level of set-associative, LRU, write-back/write-allocate cache.
 
@@ -86,47 +78,39 @@ class Cache(MemoryLevel):
         self.parent = parent
         self.num_sets = size_bytes // (assoc * line_bytes)
         self.stats = CacheStats()
-        # each set is an insertion-ordered dict tag -> line; the first
-        # entry is least recently used
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self.num_sets)]
-
-    # -- geometry helpers -----------------------------------------------------
-
-    def _index_tag(self, addr: int) -> "tuple[int, int]":
-        line_addr = addr // self.line_bytes
-        return line_addr % self.num_sets, line_addr // self.num_sets
+        # each set is an insertion-ordered dict tag -> dirty bit; the
+        # first entry is least recently used
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 
     def contains(self, addr: int) -> bool:
         """True when the line holding ``addr`` is resident (no side effects)."""
-        index, tag = self._index_tag(addr)
-        return tag in self._sets[index]
+        line_addr = addr // self.line_bytes
+        return (line_addr // self.num_sets
+                in self._sets[line_addr % self.num_sets])
 
     # -- access ------------------------------------------------------------
 
     def access(self, addr: int, is_write: bool = False) -> int:
-        index, tag = self._index_tag(addr)
-        lines = self._sets[index]
-        line = lines.get(tag)
-        if line is not None:
-            # LRU update: move to most-recently-used position
-            del lines[tag]
-            lines[tag] = line
-            if is_write:
-                line.dirty = True
+        # index and tag are computed inline: this runs once per memory
+        # op and per fetched line, on every level a miss walks through
+        line_addr = addr // self.line_bytes
+        num_sets = self.num_sets
+        lines = self._sets[line_addr % num_sets]
+        tag = line_addr // num_sets
+        dirty = lines.pop(tag, None)
+        if dirty is not None:
+            # hit: re-insert at the most-recently-used end
+            lines[tag] = dirty or is_write
             self.stats.hits += 1
             return self.hit_latency
         self.stats.misses += 1
         miss_latency = self.hit_latency
         if self.parent is not None:
-            miss_latency = self.parent.access(addr, is_write=False)
+            miss_latency = self.parent.access(addr, False)
         if len(lines) >= self.assoc:
-            victim_tag = next(iter(lines))
-            victim = lines.pop(victim_tag)
-            if victim.dirty:
+            if lines.pop(next(iter(lines))):
                 self.stats.writebacks += 1
-        new_line = _Line(tag)
-        new_line.dirty = is_write
-        lines[tag] = new_line
+        lines[tag] = is_write
         return miss_latency
 
     def preload(self, addr: int) -> None:
@@ -135,13 +119,14 @@ class Cache(MemoryLevel):
         Used to warm caches before measurement, standing in for the
         paper's 2-billion-instruction fast-forward period.
         """
-        index, tag = self._index_tag(addr)
-        lines = self._sets[index]
+        line_addr = addr // self.line_bytes
+        lines = self._sets[line_addr % self.num_sets]
+        tag = line_addr // self.num_sets
         if tag in lines:
             return
         if len(lines) >= self.assoc:
             lines.pop(next(iter(lines)))
-        lines[tag] = _Line(tag)
+        lines[tag] = False
 
     def flush(self) -> None:
         """Invalidate every line (keeps statistics)."""

@@ -38,6 +38,7 @@ class MainMemory(MemoryLevel):
         self.bus_bytes = bus_bytes
         self.transfer_bytes = transfer_bytes
         self.accesses = 0
+        self._access_latency = latency + self.transfer_cycles
 
     @property
     def transfer_cycles(self) -> int:
@@ -47,4 +48,4 @@ class MainMemory(MemoryLevel):
 
     def access(self, addr: int, is_write: bool = False) -> int:
         self.accesses += 1
-        return self.latency + self.transfer_cycles
+        return self._access_latency

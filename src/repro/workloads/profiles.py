@@ -109,6 +109,11 @@ class BenchmarkProfile:
                 f"{self.name}: working-set fractions must sum to 1, got {regions}")
         if self.suite not in ("int", "fp"):
             raise ValueError(f"{self.name}: suite must be 'int' or 'fp'")
+        if min(self.hot_bytes, self.warm_bytes) < 8:
+            # the generator draws word addresses from both regions
+            raise ValueError(
+                f"{self.name}: hot_bytes and warm_bytes must hold at "
+                "least one 8-byte word")
 
     @property
     def is_fp(self) -> bool:

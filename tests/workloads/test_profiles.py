@@ -95,3 +95,11 @@ def test_invalid_suite_rejected():
     with pytest.raises(ValueError, match="suite"):
         BenchmarkProfile(name="bad", suite="vector",
                          mix={OpClass.IALU: 0.9}, branch_fraction=0.1)
+
+
+@pytest.mark.parametrize("region", ["hot_bytes", "warm_bytes"])
+def test_region_smaller_than_a_word_rejected(region):
+    with pytest.raises(ValueError, match="8-byte word"):
+        BenchmarkProfile(name="bad", suite="int",
+                         mix={OpClass.IALU: 0.9}, branch_fraction=0.1,
+                         **{region: 4})
