@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.service import jobs as jobs_module
 from repro.service.jobs import (JobQueue, JobState, QueueClosed,
                                 QueueFull, make_spec,
                                 spec_fingerprint, validate_spec)
@@ -210,3 +211,46 @@ def test_get_and_to_dict():
     assert data["benchmark"] == "gzip"
     assert data["priority"] == 3
     assert data["key"] == job.key
+
+
+# -- finished-job bound -----------------------------------------------------
+
+def _finish(queue, outcome):
+    """Submit, take and finish one fresh job; returns it.  Its raised
+    priority pops it ahead of any job left waiting."""
+    job, created = queue.submit(_spec(), priority=1)
+    assert created
+    assert queue.take(timeout=1) is job
+    if outcome == "done":
+        queue.complete(job, _fake_result())
+    else:
+        queue.fail(job, "boom")
+    return job
+
+
+def test_only_newest_finished_jobs_are_kept(monkeypatch):
+    monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 2)
+    queue = JobQueue(maxsize=4)
+    finished = [_finish(queue, outcome)
+                for outcome in ("done", "fail", "done", "fail")]
+    assert [queue.get(job.id) for job in finished] == \
+        [None, None, finished[2], finished[3]]
+    assert queue.done == 2 and queue.failed == 2   # counters unaffected
+
+
+def test_live_jobs_are_never_evicted(monkeypatch):
+    monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 1)
+    queue = JobQueue(maxsize=4)
+    running, _ = queue.submit(_spec(benchmark="mcf"))
+    assert queue.take(timeout=1) is running
+    queued, _ = queue.submit(_spec(benchmark="applu"))
+    finished = [_finish(queue, "done") for _ in range(3)]
+    assert queue.get(running.id) is running
+    assert queue.get(queued.id) is queued
+    assert queue.get(finished[-1].id) is finished[-1]
+    assert queue.get(finished[0].id) is None
+    # the old live jobs still finish normally, then age out in turn
+    queue.complete(running, _fake_result())
+    assert queue.get(running.id) is running
+    assert queue.get(finished[-1].id) is None
+
