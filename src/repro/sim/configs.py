@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 from ..pipeline.config import DEEP_DEPTH, MachineConfig
 
 __all__ = ["baseline_config", "deep_pipeline_config", "default_instructions",
-           "config_from_tag"]
+           "instruction_budget", "config_from_tag"]
 
 
 def baseline_config() -> MachineConfig:
@@ -84,3 +85,16 @@ def default_instructions(default: int = 8_000) -> int:
     if count <= 0:
         raise ValueError("REPRO_SIM_INSTRUCTIONS must be positive")
     return count
+
+
+def instruction_budget(instructions: Optional[int]) -> int:
+    """``instructions``, or :func:`default_instructions` when ``None``.
+
+    A budget of zero or less raises ``ValueError`` instead of silently
+    falling back to the default.
+    """
+    if instructions is None:
+        return default_instructions()
+    if instructions <= 0:
+        raise ValueError("instructions must be positive")
+    return instructions

@@ -20,7 +20,7 @@ from ..pipeline.config import MachineConfig
 from ..power.budget import PowerCalibration
 from ..workloads.profiles import get_profile
 from .cache import ResultCache, fingerprint
-from .configs import config_from_tag, default_instructions
+from .configs import config_from_tag, instruction_budget
 from .parallel import (ProgressFn, RunReport, RunSpec, execute_specs,
                        simulate_spec)
 from .simulator import BUILTIN_POLICIES, SimulationResult, Simulator
@@ -74,11 +74,7 @@ class ExperimentRunner:
                  progress: Optional[ProgressFn] = None,
                  remote: Optional[object] = None,
                  sample: Optional[str] = None) -> None:
-        if instructions is None:
-            instructions = default_instructions()
-        elif instructions <= 0:
-            raise ValueError("instructions must be positive")
-        self.instructions = instructions
+        self.instructions = instruction_budget(instructions)
         self.calibration = calibration or PowerCalibration()
         self.cache = cache if cache is not None else ResultCache()
         self.jobs = jobs

@@ -26,7 +26,7 @@ from ..trace.stream import TraceStream
 from ..trace.uop import MicroOp
 from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .configs import baseline_config, default_instructions
+from .configs import baseline_config, instruction_budget
 
 __all__ = ["SimulationResult", "Simulator", "assemble_run", "build_result",
            "make_policy", "BUILTIN_POLICIES"]
@@ -191,7 +191,7 @@ class Simulator:
         """
         profile = (get_profile(benchmark) if isinstance(benchmark, str)
                    else benchmark)
-        count = instructions or default_instructions()
+        count = instruction_budget(instructions)
         generator = SyntheticTraceGenerator(profile, seed=seed)
         stream = TraceStream(iter(generator), limit=count)
         return self._run(profile.name, stream, policy, count,

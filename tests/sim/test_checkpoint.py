@@ -199,3 +199,10 @@ def test_run_resumable_spec_without_store_matches_simulator(tmp_path):
                                 chunk=500)
     direct = Simulator().run_benchmark("gzip", "dcg", INSTRUCTIONS)
     assert result_to_dict(result) == result_to_dict(direct)
+
+
+@pytest.mark.parametrize("instructions", [0, -5])
+def test_pausable_run_rejects_non_positive_budget(instructions):
+    # 0 used to fall back silently to the default budget
+    with pytest.raises(ValueError, match="instructions must be positive"):
+        PausableRun("gzip", "dcg", instructions)

@@ -169,3 +169,10 @@ def test_runner_validates_sample_up_front():
         ExperimentRunner(instructions=100, sample="4x500")
     with pytest.raises(ValueError, match="sample spec"):
         ExperimentRunner(instructions=INSTRUCTIONS, sample="banana")
+
+
+@pytest.mark.parametrize("instructions", [0, -5])
+def test_sampled_run_rejects_non_positive_budget(instructions):
+    # 0 used to fall back silently to the default budget
+    with pytest.raises(ValueError, match="instructions must be positive"):
+        SampledRun("gzip", "dcg", instructions, "2x10")

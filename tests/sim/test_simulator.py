@@ -92,3 +92,10 @@ def test_default_instructions_env(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_INSTRUCTIONS", "-5")
     with pytest.raises(ValueError):
         default_instructions()
+
+
+@pytest.mark.parametrize("instructions", [0, -5])
+def test_run_benchmark_rejects_non_positive_budget(sim, instructions):
+    # 0 used to fall back silently to the default budget
+    with pytest.raises(ValueError, match="instructions must be positive"):
+        sim.run_benchmark("gzip", "base", instructions=instructions)
