@@ -15,10 +15,11 @@ commit message; never regenerate to paper over an accidental diff.
 import hashlib
 import json
 import os
+from functools import partial
 
 import pytest
 
-from repro.core import DCGPolicy, NoGatingPolicy
+from repro.core import DCGPolicy, NoGatingPolicy, PLBPolicy
 from repro.pipeline import MachineConfig, Pipeline, render_pipetrace
 from repro.pipeline.usage import CycleUsage
 from repro.trace import FUClass, TraceStream
@@ -27,8 +28,9 @@ from repro.workloads import SyntheticTraceGenerator, get_profile
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "usage_streams.json")
 
-#: name -> (benchmark, policy class, config, instructions, seed): the
-#: regimes that stress the event calendars hardest
+#: name -> (benchmark, policy factory, config, instructions, seed): the
+#: regimes that stress the event calendars hardest, plus two
+#: memory-bound ones with long idle spans (one crossing PLB window edges)
 REGIMES = {
     "wrong-path": ("gcc", DCGPolicy,
                    MachineConfig(model_wrong_path=True), 2000, 7),
@@ -40,6 +42,9 @@ REGIMES = {
     "result-buses-2-wrong-path": (
         "gcc", NoGatingPolicy,
         MachineConfig(result_buses=2, model_wrong_path=True), 3000, None),
+    "idle-mcf-dcg": ("mcf", DCGPolicy, MachineConfig(), 3000, 0),
+    "idle-lucas-plb-ext": ("lucas", partial(PLBPolicy, extended=True),
+                           MachineConfig(), 3000, 0),
 }
 
 
