@@ -272,5 +272,17 @@ class DCGPolicy(GatingPolicy):
 
         return decision
 
+    def observe_span(self, usage: CycleUsage, n: int) -> GateDecision:
+        # a span follows a quiescent cycle, so no grant is in flight:
+        # every calendar slot is empty and no gate control flips
+        decision = self.observe(usage)
+        if decision.fu_toggles or any(
+                any(ring) for _cls, _n, _full, ring, _t in self._unit_rows):
+            raise AssertionError(
+                f"DCG idle span at cycle {usage.cycle} with grants in "
+                f"flight")
+        self._pop_cycle = usage.cycle + n - 1
+        return decision
+
     def result_fields(self) -> Dict[str, Any]:
         return {"fu_toggles": self.toggle_count}

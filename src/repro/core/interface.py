@@ -11,6 +11,10 @@ A gating policy plugs into the timing pipeline at two points each cycle:
   :class:`GateDecision` stating which block-cycles were clock-gated.
   The power accountant turns that into energy.
 
+When the pipeline skips a run of quiescent cycles it calls
+:meth:`GatingPolicy.observe_span` once for the whole span instead, and
+never skips past :meth:`GatingPolicy.next_constraints_change`.
+
 The contract mirrors the paper's accounting (§4.2): a block that is not
 clock-gated in a cycle consumes its full per-cycle power; a gated block
 consumes none.
@@ -26,7 +30,7 @@ re-application of functional-unit restrictions.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..pipeline.config import MachineConfig
 from ..pipeline.usage import CycleUsage
@@ -137,6 +141,29 @@ class GatingPolicy:
     def observe(self, usage: CycleUsage) -> GateDecision:
         """Gate decision for the cycle just executed (none by default)."""
         return GateDecision()
+
+    def observe_span(self, usage: CycleUsage, n: int) -> GateDecision:
+        """Gate decision for ``n`` idle cycles that all look like
+        ``usage`` (cycles ``usage.cycle`` to ``usage.cycle + n - 1``).
+
+        The pipeline calls this instead of :meth:`observe` when it skips
+        a run of quiescent cycles; the decision returned applies to
+        every cycle of the span.  The base class replays :meth:`observe`
+        ``n`` times on the same record, which is exact for any policy
+        whose idle-cycle decision depends only on the usage record.
+        """
+        decision = self.observe(usage)
+        for _ in range(n - 1):
+            decision = self.observe(usage)
+        return decision
+
+    def next_constraints_change(self, cycle: int) -> Optional[int]:
+        """Earliest cycle after ``cycle`` whose :meth:`constraints` call
+        may differ or change policy state, or None for never.  The
+        pipeline steps that cycle in full instead of skipping over it;
+        a policy with time-varying constraints and no better bound
+        disables skipping by returning ``cycle + 1``."""
+        return None if self.constraints_static else cycle + 1
 
     def result_fields(self) -> Dict[str, Any]:
         """Policy-specific :class:`~repro.sim.simulator.SimulationResult`

@@ -31,7 +31,7 @@ and one latch-gating table per mode; the per-cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..pipeline.config import MachineConfig
 from ..pipeline.usage import CycleUsage
@@ -285,6 +285,17 @@ class PLBPolicy(GatingPolicy):
         decision.result_buses_gated = (
             buses_disabled if buses_disabled < free_buses else free_buses)
         return decision
+
+    def observe_span(self, usage: CycleUsage, n: int) -> GateDecision:
+        # no window edge falls inside a span (next_constraints_change),
+        # so the mode and plan hold and every cycle's decision is equal
+        decision = self.observe(usage)
+        self.mode_cycles[self.mode] += n - 1
+        return decision
+
+    def next_constraints_change(self, cycle: int) -> Optional[int]:
+        window = self._window_cycles
+        return (cycle // window + 1) * window
 
     def result_fields(self) -> Dict[str, Any]:
         return {"mode_cycles": dict(self.mode_cycles)}

@@ -13,9 +13,14 @@ Relative timing matches the paper's DCG discussion:
 * stores access the D-cache at commit, optionally one cycle later when
   the gating policy asks for DCG's store-delay variant (§3.3).
 
-Each simulated cycle produces a :class:`~repro.pipeline.usage.CycleUsage`
-that is handed to the gating policy and any registered observers (the
-power accountant).
+Each cycle the core steps produces a
+:class:`~repro.pipeline.usage.CycleUsage` that is handed to the gating
+policy and any registered observers (the power accountant).  After a
+*quiescent* cycle — nothing resolved, completed, committed, issued,
+dispatched or fetched, no latch slot, unit or D-cache port in use — the
+core jumps the clock to the next cycle at which anything can happen and
+hands the skipped span to each consumer as one call
+(:meth:`Pipeline._skip_quiescent`; DESIGN.md §14.3).
 
 The per-cycle state is held as a struct of arrays:
 
@@ -71,8 +76,15 @@ from .usage import CycleUsage, UsageTotals, activity_mask_table
 
 __all__ = ["Pipeline", "CycleObserver"]
 
-#: callback invoked after every cycle with (usage, gate decision)
+#: callback invoked after every cycle with (usage, gate decision).  A
+#: bound ``observe`` whose object also has ``observe_span(usage,
+#: decision, n)`` gets each skipped idle span as that one call; any other
+#: callable gets the span as fresh per-cycle records, one call per cycle
 CycleObserver = Callable[[CycleUsage, GateDecision], None]
+
+#: jump the clock over quiescent cycles; results are identical either
+#: way (the equivalence tests switch it off to prove that)
+SKIP_QUIESCENT = True
 
 _FU_EXEC_CLASSES = (FUClass.INT_ALU, FUClass.INT_MULT,
                     FUClass.FP_ALU, FUClass.FP_MULT)
@@ -123,6 +135,17 @@ _COLUMNS = (
     ("_icyc", -1), ("_cons_ready", -1), ("_done", 0), ("_com", 0),
     ("_wp", 0), ("_sq", 0), ("_resq", 0), ("_gen", 0), ("_rec", None),
 )
+
+
+def _idle_usage(cycle: int, quiet: CycleUsage) -> CycleUsage:
+    """A fresh record for idle ``cycle``, equal to what stepping it
+    would produce after the quiescent cycle ``quiet``."""
+    usage = CycleUsage(cycle, window_occupancy=quiet.window_occupancy,
+                       lsq_occupancy=quiet.lsq_occupancy,
+                       fetch_stalled=quiet.fetch_stalled)
+    usage.fu_active = dict(quiet.fu_active)
+    usage.latch_slots = dict(quiet.latch_slots)
+    return usage
 
 
 class Pipeline:
@@ -403,6 +426,8 @@ class Pipeline:
 
         # -- branch resolution ------------------------------------------
         resolve_list = self._resolve_ring[cidx]
+        # False once any calendar event drains this cycle
+        quiet = not resolve_list
         if resolve_list:
             predictor_resolve = self.predictor.resolve
             o_pc = self._pc
@@ -434,6 +459,7 @@ class Pipeline:
         bus_list = self._bus_ring[cidx]
         buses_used = 0
         if bus_list:
+            quiet = False
             writers = bus_list
             if mwp:
                 writers = []
@@ -454,6 +480,7 @@ class Pipeline:
             bus_list.clear()
         other_list = self._other_ring[cidx]
         if other_list:
+            quiet = False
             for s in other_list:
                 if mwp and o_sq[s]:
                     self._release(s)
@@ -828,12 +855,13 @@ class Pipeline:
             bits = act_ring[cidx]
             if bits:
                 act_ring[cidx] = 0
+                quiet = False
             fu_active[fu_cls] = table[bits]
             fu_counts[row_i] = (fu_cls, bits.bit_count(), capacity)
             row_i += 1
-        usage.dcache_load_ports = self._pload_ring[cidx]
+        loads = usage.dcache_load_ports = self._pload_ring[cidx]
         self._pload_ring[cidx] = 0
-        usage.dcache_store_ports = self._pstore_ring[cidx]
+        stores = usage.dcache_store_ports = self._pstore_ring[cidx]
         self._pstore_ring[cidx] = 0
         usage.window_occupancy = len(window)
         usage.lsq_occupancy = self._lsq_count
@@ -844,6 +872,117 @@ class Pipeline:
             observer(usage, decision)
         self.totals.add(usage, fu_counts)
         self.cycle = c + 1
+        if (quiet and not (committed or issued or dispatched or rf or ex
+                           or mem or loads or stores or usage.fetched)
+                and SKIP_QUIESCENT):
+            self._skip_quiescent(usage)
+
+    # ------------------------------------------------------------------
+    # quiescent-cycle skipping
+    # ------------------------------------------------------------------
+
+    def _next_event(self, c: int) -> int:
+        """After quiescent cycle ``c``, the earliest cycle at which
+        anything can happen (``c + 1`` when the next cycle may act).
+
+        Nothing in the machine changes until one of: a calendar slot
+        (bus, other, resolve, unit activity, D-cache port) is reached;
+        the frontend head becomes dispatchable; fetch unblocks; a
+        pending op becomes ready; the policy's constraints change; or
+        the deadlock watchdog fires.
+        """
+        nxt = c + 1
+        window = self._window
+        if window and self._done[window[0]]:
+            return nxt              # a stalled commit may go any cycle
+        frontend = self._frontend
+        stream = self.stream
+        # drained: the run loop stops here (the loop asked ``exhausted``
+        # before this cycle, so asking again draws nothing)
+        if not window and not frontend and stream.exhausted:
+            return nxt
+        # stepping cycle last_commit + limit raises in the run loop;
+        # stop the skip so that happens at the very same cycle
+        bound = self._last_commit_cycle + _DEADLOCK_LIMIT + 1
+        edge = self.policy.next_constraints_change(c)
+        if edge is not None and edge < bound:
+            bound = edge
+        if self._fetch_frozen:
+            # wrong-path fetch proceeds once unblocked; without it a
+            # frozen fetch waits on its branch's resolve slot
+            fetching = self._wp_active
+        else:
+            # a stream not yet known to be dry may deliver (asking
+            # ``exhausted`` here could draw an op the run never would)
+            fetching = stream._lookahead is not None or not stream._done
+        if fetching and len(frontend) < self._frontend_cap:
+            if self._fetch_blocked_until < bound:
+                bound = self._fetch_blocked_until
+            if bound <= nxt:
+                return nxt
+        if frontend:
+            # a head that was ready at ``c`` and still did not dispatch
+            # is held by a full window or LSQ, which only a commit frees
+            ready = frontend[0][1]
+            if c < ready < bound:
+                bound = ready
+        bus, other = self._bus_ring, self._other_ring
+        resolve = self._resolve_ring
+        pload, pstore = self._pload_ring, self._pstore_ring
+        act0, act1, act2, act3 = [row[2] for row in self._exec_rows]
+        cmask = self._cal_mask
+        # every event sits within one ring length of ``c``
+        stop = min(bound, nxt + self._cal_size)
+        cc = nxt
+        while cc < stop:
+            i = cc & cmask
+            if (bus[i] or other[i] or resolve[i] or pload[i] or pstore[i]
+                    or act0[i] or act1[i] or act2[i] or act3[i]):
+                if cc == nxt:
+                    return nxt
+                bound = cc
+                break
+            cc += 1
+        # an op whose operands are all scheduled wakes at its _ready,
+        # which for a load's consumer is one cycle *before* the load's
+        # bus slot; one ready but unissued (blocked) may issue any cycle
+        o_unres, o_ready = self._unres, self._ready
+        for s in self._pending_issue:
+            if not o_unres[s]:
+                ready = o_ready[s]
+                if ready < bound:
+                    if ready <= nxt:
+                        return nxt
+                    bound = ready
+        return bound
+
+    def _skip_quiescent(self, usage: CycleUsage) -> None:
+        """Advance the clock over the idle cycles after quiescent cycle
+        ``usage.cycle``, folding them into every consumer at once."""
+        c = usage.cycle
+        end = self._next_event(c)
+        n = end - c - 1
+        if n <= 0:
+            return
+        first = c + 1
+        idle = _idle_usage(first, usage)
+        decision = self.policy.observe_span(idle, n)
+        for observer in self.observers:
+            owner = getattr(observer, "__self__", None)
+            span = (getattr(owner, "observe_span", None)
+                    if getattr(observer, "__name__", None) == "observe"
+                    else None)
+            if span is not None:
+                span(idle, decision, n)
+            else:
+                for cycle in range(first, end):
+                    observer(_idle_usage(cycle, usage), decision)
+        self.totals.add_span(idle, self._fu_counts_buf, n)
+        # the latch sums are zero, so every issue count the stage
+        # windows will read back is zero too
+        self._issued_ring[:] = [0] * len(self._issued_ring)
+        self.stats.cycles = end
+        self.cycle = end
 
     # ------------------------------------------------------------------
     # functional-unit allocation

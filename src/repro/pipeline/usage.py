@@ -1,6 +1,8 @@
 """Per-cycle resource-usage records.
 
-The pipeline emits one :class:`CycleUsage` at the end of every cycle.
+The pipeline emits one :class:`CycleUsage` at the end of every cycle it
+steps, and one for a whole run of skipped quiescent cycles (handed on
+with the run's length, see :meth:`UsageTotals.add_span`).
 Gating policies and the power accountant consume it: policies decide
 which blocks were (or could have been) clock-gated; the accountant
 converts usage + gate decisions into energy.
@@ -149,6 +151,34 @@ class UsageTotals:
         self.result_bus_cycles += usage.result_bus_used
         if usage.fetch_stalled:
             self.fetch_stall_cycles += 1
+
+    def add_span(self, usage: CycleUsage,
+                 fu_counts: Optional[List[Tuple[FUClass, int, int]]],
+                 n: int) -> None:
+        """Fold ``n`` cycles that all look like ``usage``: :meth:`add`
+        ``n`` times, in exact integer arithmetic."""
+        self.cycles += n
+        self.issued += usage.issued * n
+        self.committed += usage.committed * n
+        self.fetched += usage.fetched * n
+        active_cycles = self.fu_active_cycles
+        capacity_cycles = self.fu_capacity_cycles
+        if fu_counts is None:
+            fu_counts = [(fu_class, sum(mask), len(mask))
+                         for fu_class, mask in usage.fu_active.items()]
+        for fu_class, active, capacity in fu_counts:
+            active_cycles[fu_class] = (
+                active_cycles.get(fu_class, 0) + active * n)
+            capacity_cycles[fu_class] = (
+                capacity_cycles.get(fu_class, 0) + capacity * n)
+        slot_cycles = self.latch_slot_cycles
+        for stage, slots in usage.latch_slots.items():
+            slot_cycles[stage] = slot_cycles.get(stage, 0) + slots * n
+        self.dcache_port_cycles += (usage.dcache_load_ports
+                                    + usage.dcache_store_ports) * n
+        self.result_bus_cycles += usage.result_bus_used * n
+        if usage.fetch_stalled:
+            self.fetch_stall_cycles += n
 
     def fu_utilization(self, fu_class: FUClass) -> float:
         capacity = self.fu_capacity_cycles.get(fu_class, 0)

@@ -49,3 +49,22 @@ def test_totals_unknown_fu_utilization_zero():
     totals = UsageTotals()
     assert totals.fu_utilization(FUClass.FP_MULT) == 0.0
     assert totals.ipc == 0.0
+
+
+def test_add_span_equals_repeated_add():
+    usage = CycleUsage(cycle=3, issued=2, committed=1, fetched=4,
+                       dcache_load_ports=1, result_bus_used=2,
+                       fetch_stalled=True)
+    usage.fu_active[FUClass.INT_ALU] = (True, False, True)
+    usage.latch_slots = {"regread": 2, "execute": 1}
+    stepped, spanned = UsageTotals(), UsageTotals()
+    for _ in range(7):
+        stepped.add(usage)
+    spanned.add_span(usage, None, 7)
+    for name in UsageTotals.__slots__:
+        assert getattr(spanned, name) == getattr(stepped, name)
+    rows = [(FUClass.INT_ALU, 2, 3)]
+    stepped.add(usage, rows)
+    spanned.add_span(usage, rows, 1)
+    for name in UsageTotals.__slots__:
+        assert getattr(spanned, name) == getattr(stepped, name)

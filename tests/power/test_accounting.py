@@ -129,3 +129,45 @@ def test_savings_never_exceed_base(ialu, imul, fpalu, fpmul, latches,
     assert acc.consumed_energy <= blocks.total * cycles + 1e-9
     for family in acc.families.values():
         assert -1e-9 <= family.saving_fraction <= 1.0 + 1e-9
+
+
+_EXEC = (FUClass.INT_ALU, FUClass.INT_MULT, FUClass.FP_ALU, FUClass.FP_MULT)
+
+
+@st.composite
+def decisions(draw):
+    counts = MachineConfig().fu_counts
+    return GateDecision(
+        fu_gated={cls: draw(st.integers(0, counts[cls]))
+                  for cls in draw(st.lists(st.sampled_from(_EXEC),
+                                           unique=True))},
+        latch_gated_slots=draw(st.integers(0, 40)),
+        dcache_ports_gated=draw(st.integers(0, 2)),
+        result_buses_gated=draw(st.integers(0, 8)),
+        issue_queue_gated_fraction=draw(st.sampled_from(
+            (0.0, 0.25, 0.5, 3 / 128))),
+        control_always_on=draw(st.booleans()),
+        fu_toggles={cls: draw(st.integers(1, 3))
+                    for cls in draw(st.lists(st.sampled_from(_EXEC),
+                                             unique=True))})
+
+
+def _state(acc):
+    return ([(f.base, f.saved) for f in acc.families.values()],
+            acc.control_overhead_energy, acc.toggle_energy, acc.cycles)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lead=decisions(), decision=decisions(), n=st.integers(1, 300))
+def test_observe_span_is_bit_identical_to_repeated_observe(
+        lead, decision, n):
+    """A span folds the same float additions as ``n`` observe calls,
+    in the same order, so every accumulator matches to the last ulp."""
+    blocks = BlockPowers(MachineConfig())
+    stepped, spanned = PowerAccountant(blocks), PowerAccountant(blocks)
+    for acc in (stepped, spanned):
+        acc.observe(CycleUsage(cycle=0), lead)
+    for i in range(n):
+        stepped.observe(CycleUsage(cycle=1 + i), decision)
+    spanned.observe_span(CycleUsage(cycle=1), decision, n)
+    assert _state(spanned) == _state(stepped)
