@@ -110,6 +110,15 @@ def _worker_simulator(tag: str) -> Simulator:
     return _WORKER_SIMULATORS[tag]
 
 
+def _checkpointed(spec: RunSpec) -> bool:
+    """True when a plain spec runs in checkpointed chunks (a store is
+    configured and the run spans at least two chunks)."""
+    from .checkpoint import CheckpointStore, checkpoint_chunk
+    return (not getattr(spec, "sample", None)
+            and CheckpointStore().enabled
+            and spec.instructions >= 2 * checkpoint_chunk())
+
+
 def _run_spec_inner(spec: RunSpec,
                     calibration: Optional[PowerCalibration],
                     simulator: Optional[Simulator],
@@ -132,12 +141,9 @@ def _run_spec_inner(spec: RunSpec,
     if getattr(spec, "sample", None):
         from .sampling import run_sampled_spec
         return run_sampled_spec(spec, calibration, stop=stop)
-    from .checkpoint import CheckpointStore, checkpoint_chunk, \
-        run_resumable_spec
-    store = CheckpointStore()
-    if store.enabled and spec.instructions >= 2 * checkpoint_chunk():
-        return run_resumable_spec(spec, calibration, store=store,
-                                  stop=stop)
+    if _checkpointed(spec):
+        from .checkpoint import run_resumable_spec
+        return run_resumable_spec(spec, calibration, stop=stop)
     sim = simulator or Simulator(config_from_tag(spec.tag), calibration)
     return sim.run_benchmark(spec.benchmark, spec.policy,
                              instructions=spec.instructions,
@@ -156,8 +162,9 @@ def simulate_spec(spec: RunSpec,
     configured it runs inside a ``sim`` span and emits ``sim.start`` /
     ``sim.finish`` (or ``sim.error``) events; with ``REPRO_SAMPLE`` set
     it attaches a :class:`~repro.obs.sampling.PipelineSampler` and
-    emits its histograms as a ``sim.sample`` event.  With neither, the
-    original zero-instrumentation path runs.
+    emits its histograms as a ``sim.sample`` event (straight-through
+    runs only; sampled and checkpointed runs emit none).  With neither,
+    the original zero-instrumentation path runs.
 
     ``stop`` is an optional ``threading.Event``-like object consulted
     by the sampled/checkpointed strategies at window/chunk boundaries;
@@ -166,8 +173,10 @@ def simulate_spec(spec: RunSpec,
     """
     journal = get_journal()
     # the per-cycle sampler hooks a single pipeline's observer list, so
-    # it only applies to the straight-through strategy
-    sampling = (sampling_enabled() and not getattr(spec, "sample", None))
+    # it only applies to the straight-through strategy: a sampled or
+    # checkpointed run emits no ``sim.sample`` rather than an empty one
+    sampling = (sampling_enabled() and not getattr(spec, "sample", None)
+                and not _checkpointed(spec))
     if not journal.enabled and not sampling:
         return _run_spec_inner(spec, calibration, simulator, stop, None)
     ident = {"benchmark": spec.benchmark, "policy": spec.policy,
