@@ -12,7 +12,9 @@ occupancy and gating-activity histograms while a simulation runs:
 
 Nothing in the simulator hot path changes when sampling is off: the
 pipeline's observer list is simply one entry shorter, which is the
-pre-existing disabled cost.  Enable it for grid runs by setting
+pre-existing disabled cost.  A skipped run of idle cycles reaches the
+sampler as one :meth:`PipelineSampler.observe_span` call, so sampled
+runs keep the quiescent-skip speed-up.  Enable it for grid runs by setting
 ``REPRO_SAMPLE=1`` — :func:`~repro.sim.parallel.simulate_spec` then
 attaches a sampler per run and emits its summary as one ``sim.sample``
 journal event (the histograms travel with the run's trace).
@@ -74,28 +76,34 @@ class PipelineSampler:
         self.fu_toggle_events = 0
 
     def observe(self, usage: CycleUsage, decision: GateDecision) -> None:
-        self.cycles += 1
+        self.observe_span(usage, decision, 1)
+
+    def observe_span(self, usage: CycleUsage, decision: GateDecision,
+                     n: int) -> None:
+        """Fold ``n`` cycles that share ``usage`` and ``decision`` (a
+        skipped idle span) with exact integer ``n``-fold updates."""
+        self.cycles += n
         issued = usage.issued
         if issued >= len(self._issued):
             self._issued.extend([0] * (issued - len(self._issued) + 1))
-        self._issued[issued] += 1
-        self._window[_bucket_index(usage.window_occupancy)] += 1
-        self._lsq[_bucket_index(usage.lsq_occupancy)] += 1
+        self._issued[issued] += n
+        self._window[_bucket_index(usage.window_occupancy)] += n
+        self._lsq[_bucket_index(usage.lsq_occupancy)] += n
         busy = 0
         for mask in usage.fu_active.values():
             busy += sum(mask)
         if busy >= len(self._fu_busy):
             self._fu_busy.extend([0] * (busy - len(self._fu_busy) + 1))
-        self._fu_busy[busy] += 1
+        self._fu_busy[busy] += n
         if usage.fetch_stalled:
-            self.fetch_stall_cycles += 1
+            self.fetch_stall_cycles += n
         gated = self.gated_block_cycles
         for count in decision.fu_gated.values():
-            gated["fu"] += count
-        gated["latch"] += decision.latch_gated_slots
-        gated["dcache"] += decision.dcache_ports_gated
-        gated["result_bus"] += decision.result_buses_gated
-        self.fu_toggle_events += decision.fu_toggle_events
+            gated["fu"] += count * n
+        gated["latch"] += decision.latch_gated_slots * n
+        gated["dcache"] += decision.dcache_ports_gated * n
+        gated["result_bus"] += decision.result_buses_gated * n
+        self.fu_toggle_events += decision.fu_toggle_events * n
 
     # -- reporting --------------------------------------------------------
 
