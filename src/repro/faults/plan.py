@@ -46,9 +46,9 @@ Injection sites (:data:`SITES`):
 
 With ``REPRO_FAULTS`` unset the plan is disabled and every
 :func:`should_inject` call is a dictionary miss — no RNG, no lock, no
-events — so the PR 3 bit-identity goldens and the ``bench-perf``
-baseline are untouched (all sites sit on per-job/per-request paths,
-never the per-cycle hot loop).
+events — so the invariance goldens and the ``e2ebench`` workloads are
+untouched (all sites sit on per-job/per-request paths, never the
+per-cycle hot loop).
 
 Every fired injection emits a ``fault.inject`` journal event and, when
 a registry is bound (the service binds its own), increments

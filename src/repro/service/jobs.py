@@ -46,8 +46,8 @@ from ..workloads.profiles import get_profile
 from .persist import PendingJob, QueueJournal
 
 __all__ = ["FINISHED_JOBS_KEPT", "Job", "JobQueue", "JobState",
-           "QueueClosed", "QueueFull", "make_spec", "spec_fingerprint",
-           "validate_spec"]
+           "QueueClosed", "QueueFull", "integer_field", "make_spec",
+           "spec_fingerprint", "validate_spec"]
 
 #: finished (done or failed) jobs a queue keeps for status queries; the
 #: oldest beyond this are dropped, and a lookup of one answers "no such
@@ -89,16 +89,35 @@ def make_spec(benchmark: str, policy: str = "dcg", tag: str = "baseline",
     submitted over the wire lands on the same cache fingerprint as a
     local run.  ``sample`` is an optional "KxL" interval-sampling plan.
     """
+    for name, value in (("benchmark", benchmark), ("policy", policy),
+                        ("tag", tag)):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
     profile = get_profile(benchmark)        # raises KeyError with names
     if instructions is None:
         from ..sim.configs import default_instructions
         instructions = default_instructions()
     spec = RunSpec(tag=tag, benchmark=profile.name, policy=policy,
-                   instructions=int(instructions),
-                   seed=profile.seed if seed is None else int(seed),
+                   instructions=integer_field("instructions", instructions),
+                   seed=(profile.seed if seed is None
+                         else integer_field("seed", seed)),
                    sample=str(sample) if sample is not None else None)
     validate_spec(spec)
     return spec
+
+
+def integer_field(name: str, value: Any) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a whole number.
+
+    JSON gives integral floats (``2000.0``) for some clients, so those
+    pass; booleans, strings, ``null`` and fractions such as ``1.9`` do
+    not, rather than being coerced or truncated by ``int()``.
+    """
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def validate_spec(spec: RunSpec) -> None:

@@ -45,9 +45,11 @@ from ..obs.tracing import activate, context_from_headers, span
 from ..power.budget import PowerCalibration
 from ..sim.cache import ResultCache, result_to_dict
 from ..sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
+from ..sim.parallel import RunSpec
 from ..sim.runner import ExperimentRunner
 from .client import DEADLINE_HEADER
-from .jobs import Job, JobQueue, QueueClosed, QueueFull, make_spec
+from .jobs import (Job, JobQueue, QueueClosed, QueueFull, integer_field,
+                   make_spec)
 from .persist import (QUEUE_JOURNAL_FILENAME, STATE_DIR_ENV_VAR,
                       QueueJournal)
 from .workers import WorkerPool
@@ -156,6 +158,28 @@ class SimulationService:
 
     # -- request handling -------------------------------------------------
 
+    def parse_run(self, fields: Any) -> Tuple[RunSpec, int]:
+        """Validated ``(spec, priority)`` from one loose request dict.
+
+        Raises ``ValueError`` on a missing, unknown or wrongly typed
+        field, so a batch can be checked whole before any of it queues.
+        """
+        if not isinstance(fields, dict):
+            raise ValueError(f"each run must be a JSON object, got {fields!r}")
+        instructions = fields.get("instructions")
+        try:
+            spec = make_spec(
+                benchmark=fields["benchmark"],
+                policy=fields.get("policy", "dcg"),
+                tag=fields.get("tag", "baseline"),
+                instructions=(self.runner.instructions if instructions is None
+                              else instructions),
+                seed=fields.get("seed"),
+                sample=fields.get("sample"))
+        except KeyError as exc:
+            raise ValueError(f"missing or unknown field: {exc}") from None
+        return spec, integer_field("priority", fields.get("priority", 0))
+
     def submit(self, fields: Dict[str, Any],
                deadline_at: Optional[float] = None) -> Tuple[Job, bool]:
         """Accept one loose request dict; (job, created).
@@ -164,18 +188,7 @@ class SimulationService:
         :class:`~repro.service.jobs.QueueFull` under backpressure, and
         :class:`~repro.service.jobs.QueueClosed` once draining.
         """
-        try:
-            spec = make_spec(
-                benchmark=fields["benchmark"],
-                policy=fields.get("policy", "dcg"),
-                tag=fields.get("tag", "baseline"),
-                instructions=(fields.get("instructions")
-                              or self.runner.instructions),
-                seed=fields.get("seed"),
-                sample=fields.get("sample"))
-        except KeyError as exc:
-            raise ValueError(f"missing or unknown field: {exc}") from None
-        priority = int(fields.get("priority", 0))
+        spec, priority = self.parse_run(fields)
         return self.queue.submit(spec, priority=priority,
                                  deadline_at=deadline_at)
 
@@ -323,19 +336,23 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return
-        requests: List[Dict[str, Any]] = (
-            data["runs"] if "runs" in data else [data])
+        requests = data["runs"] if "runs" in data else [data]
         deadline_at = self._deadline_at()
         jobs: List[Tuple[Job, bool]] = []
         try:
+            if not isinstance(requests, list):
+                raise ValueError("runs must be a JSON list")
             # the client's trace context (X-Repro-Trace-Id headers)
             # becomes the active context, so the accepted jobs — and
             # every worker-side event about them — join its trace
             with activate(context_from_headers(self.headers)):
                 with span("http.submit", runs=len(requests)):
-                    for fields in requests:
-                        jobs.append(service.submit(
-                            fields, deadline_at=deadline_at))
+                    # validate the whole batch first: a 400 queues nothing
+                    runs = [service.parse_run(fields) for fields in requests]
+                    for spec, priority in runs:
+                        jobs.append(service.queue.submit(
+                            spec, priority=priority,
+                            deadline_at=deadline_at))
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return

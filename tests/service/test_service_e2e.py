@@ -120,7 +120,7 @@ def test_identical_inflight_submissions_share_a_job(service_url):
     assert result.benchmark == "lucas"
 
 
-def test_bad_requests_are_400(service_url):
+def test_bad_requests_are_400(service_url, capsys):
     url, _service = service_url
     client = ServiceClient(url)
     with pytest.raises(ServiceError, match="unknown benchmark") as excinfo:
@@ -142,6 +142,20 @@ def test_bad_requests_are_400(service_url):
             ("POST", "/v1/runs", b"[1,2]", 400,
              "request body must be a JSON object"),
             ("POST", "/v1/runs", b"{bad", 400, ""),
+            ("POST", "/v1/runs", b'{"runs":[1]}', 400,
+             "each run must be a JSON object"),
+            ("POST", "/v1/runs", b'{"runs":"x"}', 400,
+             "runs must be a JSON list"),
+            ("POST", "/v1/runs", b'{"benchmark":["gzip"]}', 400,
+             "benchmark must be a string"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","instructions":[1]}',
+             400, "instructions must be an integer"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","instructions":1.9}',
+             400, "instructions must be an integer"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","instructions":0}',
+             400, "instructions must be positive"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","priority":null}',
+             400, "priority must be an integer"),
             ("POST", "/v1/nope", b"{}", 404, "no such endpoint"),
             ("GET", "/v1/nope", None, 404, "no such endpoint")):
         request = urllib.request.Request(f"{url}{path}", data=body,
@@ -151,6 +165,18 @@ def test_bad_requests_are_400(service_url):
         assert excinfo.value.code == status, (method, path, body)
         payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert payload["error"] and payload["error"].startswith(error)
+    # every rejection was answered, none escaped the handler
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_rejected_batch_queues_nothing(service_url):
+    """One bad run rejects the whole batch before any of it is queued."""
+    url, service = service_url
+    client = ServiceClient(url)
+    with pytest.raises(ServiceError, match="unknown benchmark") as excinfo:
+        client.submit([{"benchmark": "gzip"}, {"benchmark": "nope"}])
+    assert excinfo.value.status == 400
+    assert service.queue.counters()["submitted"] == 0
 
 
 def test_backpressure_over_http(tmp_path):
