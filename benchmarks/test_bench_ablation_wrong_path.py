@@ -23,7 +23,7 @@ def _dcg_saving(benchmark, wrong_path, n):
                     DCGPolicy())
     generator.prewarm(pipe.hierarchy)
     accountant = PowerAccountant(BlockPowers(config))
-    pipe.add_observer(accountant.observe)
+    pipe.add_observer(accountant)
     stats = pipe.run(max_instructions=n)
     return accountant.total_saving_fraction, stats
 

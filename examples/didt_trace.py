@@ -30,7 +30,7 @@ def run(benchmark: str, policy_kind: AllocationPolicy, n: int = 6000):
     pipe = Pipeline(config, TraceStream(iter(generator), limit=n), dcg)
     generator.prewarm(pipe.hierarchy)
     recorder = PowerTraceRecorder(BlockPowers(config))
-    pipe.add_observer(recorder.observe)
+    pipe.add_observer(recorder)
     pipe.run(max_instructions=n)
     return dcg, recorder, pipe.stats
 

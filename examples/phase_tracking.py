@@ -28,7 +28,7 @@ def run(policy, phase_length: int, n: int):
                     policy)
     workload.prewarm(pipe.hierarchy)
     accountant = PowerAccountant(BlockPowers(pipe.config))
-    pipe.add_observer(accountant.observe)
+    pipe.add_observer(accountant)
     stats = pipe.run(max_instructions=n)
     return stats, accountant
 

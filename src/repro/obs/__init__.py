@@ -1,4 +1,4 @@
-"""Unified observability layer: journal, tracing, metrics, sampling.
+"""Unified observability layer: journal, tracing, metrics, histograms.
 
 The subsystem the rest of the repo reports through:
 
@@ -9,8 +9,8 @@ The subsystem the rest of the repo reports through:
 * :mod:`~repro.obs.metrics` — Prometheus-style registry (counters,
   gauges, bounded-reservoir histograms) behind the service's
   ``/metrics`` and ``/metrics?format=prom``.
-* :mod:`~repro.obs.sampling` — opt-in per-cycle occupancy/gating
-  histograms (``REPRO_SAMPLE=1``), off the hot path when disabled.
+* :mod:`~repro.obs.histograms` — opt-in per-cycle occupancy/gating
+  histograms (``REPRO_HISTOGRAMS=1``), off the hot path when disabled.
 * :mod:`~repro.obs.summary` — journal post-processing for
   ``repro events tail|summarize``.
 
@@ -23,7 +23,7 @@ from .events import (EventJournal, JOURNAL_FILENAME, LOG_DIR_ENV_VAR,
                      get_journal, journal_path_from_env, read_events)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       validate_prom_text)
-from .sampling import PipelineSampler, SAMPLE_ENV_VAR, sampling_enabled
+from .histograms import CycleHistograms, HISTOGRAMS_ENV_VAR, histograms_enabled
 from .summary import (format_event_line, format_summary, summarize_events,
                       summarize_journal, tail_events)
 from .tracing import (SPAN_HEADER, SpanContext, TRACE_HEADER, activate,
@@ -32,15 +32,15 @@ from .tracing import (SPAN_HEADER, SpanContext, TRACE_HEADER, activate,
 
 __all__ = [
     "Counter",
+    "CycleHistograms",
     "EventJournal",
     "Gauge",
+    "HISTOGRAMS_ENV_VAR",
     "Histogram",
     "JOURNAL_FILENAME",
     "LOG_DIR_ENV_VAR",
     "LOG_ENV_VAR",
     "MetricsRegistry",
-    "PipelineSampler",
-    "SAMPLE_ENV_VAR",
     "SCHEMA_VERSION",
     "SPAN_HEADER",
     "SpanContext",
@@ -52,11 +52,11 @@ __all__ = [
     "format_event_line",
     "format_summary",
     "get_journal",
+    "histograms_enabled",
     "journal_path_from_env",
     "new_span_id",
     "new_trace_id",
     "read_events",
-    "sampling_enabled",
     "span",
     "summarize_events",
     "summarize_journal",

@@ -61,10 +61,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..backend.funits import FU_LATENCY, AllocationPolicy
-from ..core.interface import CycleConstraints, GateDecision, GatingPolicy
+from ..core.interface import CycleConstraints, GatingPolicy
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.uop import FUClass, MicroOp, OpClass
@@ -72,15 +72,10 @@ from ..trace.stream import TraceStream
 from .config import MachineConfig
 from .pipetrace import CapturedOp
 from .stats import SimStats
-from .usage import CycleUsage, UsageTotals, activity_mask_table
+from .usage import CycleObserver, CycleUsage, UsageTotals, \
+    activity_mask_table
 
-__all__ = ["Pipeline", "CycleObserver"]
-
-#: callback invoked after every cycle with (usage, gate decision).  A
-#: bound ``observe`` whose object also has ``observe_span(usage,
-#: decision, n)`` gets each skipped idle span as that one call; any other
-#: callable gets the span as fresh per-cycle records, one call per cycle
-CycleObserver = Callable[[CycleUsage, GateDecision], None]
+__all__ = ["Pipeline"]
 
 #: jump the clock over quiescent cycles; results are identical either
 #: way (the equivalence tests switch it off to prove that)
@@ -135,17 +130,6 @@ _COLUMNS = (
     ("_icyc", -1), ("_cons_ready", -1), ("_done", 0), ("_com", 0),
     ("_wp", 0), ("_sq", 0), ("_resq", 0), ("_gen", 0), ("_rec", None),
 )
-
-
-def _idle_usage(cycle: int, quiet: CycleUsage) -> CycleUsage:
-    """A fresh record for idle ``cycle``, equal to what stepping it
-    would produce after the quiescent cycle ``quiet``."""
-    usage = CycleUsage(cycle, window_occupancy=quiet.window_occupancy,
-                       lsq_occupancy=quiet.lsq_occupancy,
-                       fetch_stalled=quiet.fetch_stalled)
-    usage.fu_active = dict(quiet.fu_active)
-    usage.latch_slots = dict(quiet.latch_slots)
-    return usage
 
 
 class Pipeline:
@@ -334,6 +318,9 @@ class Pipeline:
         self._free.append(slot)
 
     def add_observer(self, observer: CycleObserver) -> None:
+        if not isinstance(observer, CycleObserver):
+            raise TypeError(f"observer must be a CycleObserver, not "
+                            f"{type(observer).__name__}")
         self.observers.append(observer)
 
     def capture_ops(self, limit: int) -> None:
@@ -869,7 +856,7 @@ class Pipeline:
 
         decision = policy.observe(usage)
         for observer in self.observers:
-            observer(usage, decision)
+            observer.observe(usage, decision)
         self.totals.add(usage, fu_counts)
         self.cycle = c + 1
         if (quiet and not (committed or issued or dispatched or rf or ex
@@ -964,19 +951,10 @@ class Pipeline:
         n = end - c - 1
         if n <= 0:
             return
-        first = c + 1
-        idle = _idle_usage(first, usage)
+        idle = usage.idle(c + 1)
         decision = self.policy.observe_span(idle, n)
         for observer in self.observers:
-            owner = getattr(observer, "__self__", None)
-            span = (getattr(owner, "observe_span", None)
-                    if getattr(observer, "__name__", None) == "observe"
-                    else None)
-            if span is not None:
-                span(idle, decision, n)
-            else:
-                for cycle in range(first, end):
-                    observer(_idle_usage(cycle, usage), decision)
+            observer.observe_span(idle, decision, n)
         self.totals.add_span(idle, self._fu_counts_buf, n)
         # the latch sums are zero, so every issue count the stage
         # windows will read back is zero too

@@ -1,11 +1,12 @@
-"""Per-cycle resource-usage records.
+"""Per-cycle resource-usage records and the observer protocol.
 
 The pipeline emits one :class:`CycleUsage` at the end of every cycle it
 steps, and one for a whole run of skipped quiescent cycles (handed on
 with the run's length, see :meth:`UsageTotals.add_span`).
-Gating policies and the power accountant consume it: policies decide
-which blocks were (or could have been) clock-gated; the accountant
-converts usage + gate decisions into energy.
+Gating policies and every :class:`CycleObserver` (the power accountant
+first) consume it: policies decide which blocks were (or could have
+been) clock-gated; the accountant converts usage + gate decisions into
+energy.
 
 Both records live on the simulator's per-cycle hot path — one
 :class:`CycleUsage` is allocated and one :meth:`UsageTotals.add` runs
@@ -17,11 +18,15 @@ policies, and the accountant spend their time on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..trace.uop import FUClass
 
-__all__ = ["CycleUsage", "UsageTotals", "activity_mask_table"]
+if TYPE_CHECKING:                       # the policy interface imports us
+    from ..core.interface import GateDecision
+
+__all__ = ["CycleObserver", "CycleUsage", "UsageTotals",
+           "activity_mask_table"]
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +94,45 @@ class CycleUsage:
     def fu_used_count(self, fu_class: FUClass) -> int:
         return sum(self.fu_active.get(fu_class, ()))
 
+    def idle(self, cycle: int) -> "CycleUsage":
+        """A fresh record for idle ``cycle``, equal to what stepping it
+        would produce after this quiescent cycle."""
+        usage = CycleUsage(cycle, window_occupancy=self.window_occupancy,
+                           lsq_occupancy=self.lsq_occupancy,
+                           fetch_stalled=self.fetch_stalled)
+        usage.fu_active = dict(self.fu_active)
+        usage.latch_slots = dict(self.latch_slots)
+        return usage
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CycleUsage cycle={self.cycle} fetched={self.fetched} "
                 f"issued={self.issued} committed={self.committed}>")
+
+
+class CycleObserver:
+    """Consumer of the core's per-cycle ``(usage, decision)`` pairs.
+
+    Attach an instance with ``pipeline.add_observer(observer)``; the
+    pipeline calls :meth:`observe` once per stepped cycle, after the
+    gating policy, and :meth:`observe_span` once per skipped run of
+    quiescent cycles.
+    """
+
+    def observe(self, usage: CycleUsage, decision: "GateDecision") -> None:
+        raise NotImplementedError
+
+    def observe_span(self, usage: CycleUsage, decision: "GateDecision",
+                     n: int) -> None:
+        """Fold ``n`` idle cycles that all look like ``usage`` (the
+        span's first cycle) under ``decision``.
+
+        By default each cycle reaches :meth:`observe` as a fresh
+        record, exactly as stepping it would; observers that can fold
+        a span in one exact update override this.
+        """
+        observe = self.observe
+        for cycle in range(usage.cycle, usage.cycle + n):
+            observe(usage.idle(cycle), decision)
 
 
 class UsageTotals:

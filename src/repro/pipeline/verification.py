@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ..core.interface import GateDecision
 from ..trace.uop import FUClass
 from .config import MachineConfig
-from .usage import CycleUsage
+from .usage import CycleObserver, CycleUsage
 
 __all__ = ["InvariantChecker", "InvariantViolation"]
 
@@ -26,8 +26,9 @@ class InvariantViolation(AssertionError):
     """A per-cycle capacity or gating invariant failed."""
 
 
-class InvariantChecker:
-    """Attach with ``pipeline.add_observer(checker.observe)``.
+class InvariantChecker(CycleObserver):
+    """Attach with ``pipeline.add_observer(checker)``; it checks every
+    cycle of a skipped idle span one record at a time.
 
     Parameters
     ----------

@@ -32,7 +32,7 @@ from operator import add
 from typing import Dict, Sequence
 
 from ..core.interface import GateDecision
-from ..pipeline.usage import CycleUsage
+from ..pipeline.usage import CycleObserver, CycleUsage
 from ..trace.uop import FUClass
 from .budget import BlockPowers
 
@@ -78,11 +78,10 @@ class FamilyEnergy:
         return self.base == other.base and self.saved == other.saved
 
 
-class PowerAccountant:
+class PowerAccountant(CycleObserver):
     """Accumulates energy over a run.
 
-    Its :meth:`observe` is a pipeline observer;
-    :func:`~repro.sim.simulator.assemble_run` attaches it to every run.
+    :func:`~repro.sim.simulator.assemble_run` attaches one to every run.
     """
 
     def __init__(self, blocks: BlockPowers) -> None:

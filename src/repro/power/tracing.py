@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.interface import GateDecision
-from ..pipeline.usage import CycleUsage
+from ..pipeline.usage import CycleObserver, CycleUsage
 from .accounting import PowerAccountant
 from .budget import BlockPowers
 
@@ -21,13 +21,16 @@ __all__ = ["PowerTraceRecorder"]
 _SPARK_CHARS = " .:-=+*#%@"
 
 
-class PowerTraceRecorder:
+class PowerTraceRecorder(CycleObserver):
     """Records consumed watts per cycle.
 
     Wraps a private :class:`PowerAccountant`; attach with::
 
         recorder = PowerTraceRecorder(BlockPowers(config))
-        pipeline.add_observer(recorder.observe)
+        pipeline.add_observer(recorder)
+
+    A skipped idle span reaches it as one record per cycle (the
+    protocol's default), so the trace has a sample for every cycle.
     """
 
     def __init__(self, blocks: BlockPowers,

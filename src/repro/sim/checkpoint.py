@@ -49,7 +49,7 @@ from .simulator import SimulationResult, assemble_run, build_result, \
     make_policy
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
-           "PausableRun", "SimulationInterrupted", "checkpoint_chunk",
+           "DEFAULT_CHUNK", "PausableRun", "SimulationInterrupted",
            "replay_source", "run_resumable_spec", "spec_checkpoint_key"]
 
 #: environment variable naming the checkpoint directory; unset disables
@@ -57,15 +57,15 @@ __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
 CHECKPOINT_DIR_ENV_VAR = "REPRO_CHECKPOINT_DIR"
 
 #: committed instructions between checkpoints of a plain (non-sampled)
-#: resumable run; override with ``REPRO_CHECKPOINT_CHUNK``
-CHUNK_ENV_VAR = "REPRO_CHECKPOINT_CHUNK"
+#: resumable run
 DEFAULT_CHUNK = 250_000
 
 #: bump when the snapshot state schema changes; older files then read
 #: back as misses instead of unpickling into a surprise (v2: one cycle
 #: core, no ``backend`` key; v3: cache sets map tag -> dirty bit, no
-#: ``_Line`` objects)
-CHECKPOINT_VERSION = 3
+#: ``_Line`` objects; v4: the pipeline holds observer objects, not
+#: bound ``observe`` methods)
+CHECKPOINT_VERSION = 4
 
 _MAGIC = b"REPROCKPT1\n"
 
@@ -77,17 +77,6 @@ class SimulationInterrupted(RuntimeError):
     into a job re-queue so the next attempt resumes where this one
     stopped.
     """
-
-
-def checkpoint_chunk() -> int:
-    """Chunk length for plain resumable runs (env-overridable)."""
-    value = os.environ.get(CHUNK_ENV_VAR)
-    if value is None:
-        return DEFAULT_CHUNK
-    chunk = int(value)
-    if chunk <= 0:
-        raise ValueError(f"{CHUNK_ENV_VAR} must be positive")
-    return chunk
 
 
 def spec_checkpoint_key(spec: Any,
@@ -365,7 +354,7 @@ def run_resumable_spec(spec: Any,
     re-queue instead of losing the work.
     """
     store = store if store is not None else CheckpointStore()
-    chunk = chunk or checkpoint_chunk()
+    chunk = chunk or DEFAULT_CHUNK
     key = spec_checkpoint_key(spec, calibration)
     journal = get_journal()
     run: Optional[PausableRun] = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.events import get_journal
-from ..obs.sampling import PipelineSampler, sampling_enabled
+from ..obs.histograms import CycleHistograms, histograms_enabled
 from ..obs.tracing import SpanContext, activate, current_context, span
 from ..power.budget import PowerCalibration
 from .configs import config_from_tag
@@ -113,17 +113,17 @@ def _worker_simulator(tag: str) -> Simulator:
 def _checkpointed(spec: RunSpec) -> bool:
     """True when a plain spec runs in checkpointed chunks (a store is
     configured and the run spans at least two chunks)."""
-    from .checkpoint import CheckpointStore, checkpoint_chunk
+    from .checkpoint import DEFAULT_CHUNK, CheckpointStore
     return (not getattr(spec, "sample", None)
             and CheckpointStore().enabled
-            and spec.instructions >= 2 * checkpoint_chunk())
+            and spec.instructions >= 2 * DEFAULT_CHUNK)
 
 
 def _run_spec_inner(spec: RunSpec,
                     calibration: Optional[PowerCalibration],
                     simulator: Optional[Simulator],
                     stop: Optional[object],
-                    sampler: Optional[PipelineSampler]) -> SimulationResult:
+                    observer: Optional[CycleHistograms]) -> SimulationResult:
     """Dispatch one spec to the right execution strategy.
 
     Sampled specs go through :func:`~repro.sim.sampling.run_sampled_spec`
@@ -148,7 +148,7 @@ def _run_spec_inner(spec: RunSpec,
     return sim.run_benchmark(spec.benchmark, spec.policy,
                              instructions=spec.instructions,
                              seed=spec.seed,
-                             observers=[sampler.observe] if sampler
+                             observers=[observer] if observer
                              else None)
 
 
@@ -160,10 +160,10 @@ def simulate_spec(spec: RunSpec,
 
     The single sim-level observability chokepoint: with a journal
     configured it runs inside a ``sim`` span and emits ``sim.start`` /
-    ``sim.finish`` (or ``sim.error``) events; with ``REPRO_SAMPLE`` set
-    it attaches a :class:`~repro.obs.sampling.PipelineSampler` and
-    emits its histograms as a ``sim.sample`` event (straight-through
-    runs only; sampled and checkpointed runs emit none).  With neither,
+    ``sim.finish`` (or ``sim.error``) events; with ``REPRO_HISTOGRAMS``
+    set it attaches a :class:`~repro.obs.histograms.CycleHistograms` and
+    emits it as a ``sim.histograms`` event (straight-through runs only;
+    sampled and checkpointed runs emit none).  With neither,
     the original zero-instrumentation path runs.
 
     ``stop`` is an optional ``threading.Event``-like object consulted
@@ -172,12 +172,12 @@ def simulate_spec(spec: RunSpec,
     :class:`~repro.sim.checkpoint.SimulationInterrupted` propagates.
     """
     journal = get_journal()
-    # the per-cycle sampler hooks a single pipeline's observer list, so
-    # it only applies to the straight-through strategy: a sampled or
-    # checkpointed run emits no ``sim.sample`` rather than an empty one
-    sampling = (sampling_enabled() and not getattr(spec, "sample", None)
-                and not _checkpointed(spec))
-    if not journal.enabled and not sampling:
+    # the histograms hook a single pipeline's observer list, so they
+    # only apply to the straight-through strategy: a sampled or
+    # checkpointed run emits no ``sim.histograms`` rather than an empty one
+    wanted = (histograms_enabled() and not getattr(spec, "sample", None)
+              and not _checkpointed(spec))
+    if not journal.enabled and not wanted:
         return _run_spec_inner(spec, calibration, simulator, stop, None)
     ident = {"benchmark": spec.benchmark, "policy": spec.policy,
              "tag": spec.tag}
@@ -185,11 +185,11 @@ def simulate_spec(spec: RunSpec,
         journal.emit("sim.start", instructions=spec.instructions,
                      seed=spec.seed, sample=getattr(spec, "sample", None),
                      **ident)
-        sampler = PipelineSampler() if sampling else None
+        histograms = CycleHistograms() if wanted else None
         start = time.perf_counter()
         try:
             result = _run_spec_inner(spec, calibration, simulator, stop,
-                                     sampler)
+                                     histograms)
         except Exception as exc:
             journal.emit("sim.error",
                          seconds=time.perf_counter() - start,
@@ -200,8 +200,8 @@ def simulate_spec(spec: RunSpec,
                      instructions=result.instructions,
                      ipc=round(result.ipc, 4),
                      total_saving=round(result.total_saving, 6), **ident)
-        if sampler is not None:
-            journal.emit("sim.sample", **ident, **sampler.summary())
+        if histograms is not None:
+            journal.emit("sim.histograms", **ident, **histograms.summary())
     return result
 
 

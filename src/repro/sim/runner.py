@@ -132,24 +132,27 @@ class ExperimentRunner:
         get_journal().emit(kind, layer=layer, benchmark=spec.benchmark,
                            policy=spec.policy, tag=spec.tag)
 
-    def cached(self, spec: RunSpec
+    def cached(self, spec: RunSpec, disk: bool = True
                ) -> Optional[Tuple[SimulationResult, str]]:
         """Memory-then-disk lookup of ``spec`` without simulating.
 
         Returns ``(result, source)`` with source ``"memory"`` or
         ``"disk"`` (disk hits are promoted into memory), or None on a
-        full miss.  This is the cache half of :meth:`run`, split out so
-        the service's worker pool can walk the same resolution path.
+        full miss.  ``disk=False`` looks in memory only and reports no
+        miss.  :meth:`run`, :meth:`run_many` and the service's worker
+        pool all resolve a spec through this one path.
         """
         if spec in self._cache:
             if get_journal().enabled:
                 self._emit_cache("cache.hit", spec, "memory")
             return self._cache[spec], "memory"
-        disk = self.cache.get(self._fingerprint(spec))
-        if disk is not None:
-            self._cache[spec] = disk
+        if not disk:
+            return None
+        stored = self.cache.get(self._fingerprint(spec))
+        if stored is not None:
+            self._cache[spec] = stored
             self._emit_cache("cache.hit", spec, "disk")
-            return disk, "disk"
+            return stored, "disk"
         self._emit_cache("cache.miss", spec)
         return None
 
@@ -193,18 +196,12 @@ class ExperimentRunner:
                 f"policy name {policy!r} is reserved for the built-in "
                 "policy; run a custom factory under a distinct name")
         spec = self._spec(benchmark, policy, tag)
-        if spec in self._cache:
-            if get_journal().enabled:
-                self._emit_cache("cache.hit", spec, "memory")
-            return self._cache[spec]
-        if policy_factory is None:
-            disk = self.cache.get(self._fingerprint(spec))
-            if disk is not None:
-                self._cache[spec] = disk
-                self._emit_cache("cache.hit", spec, "disk")
+        hit = self.cached(spec, disk=policy_factory is None)
+        if hit is not None:
+            result, source = hit
+            if source == "disk":
                 self._report(spec, 0.0, "disk")
-                return disk
-            self._emit_cache("cache.miss", spec)
+            return result
         if self.remote is not None and policy_factory is None:
             result = self._execute([spec], jobs=1)[0]
             self._memoise(spec, result, persist=True)
@@ -245,38 +242,25 @@ class ExperimentRunner:
         jobs = self.jobs if jobs is None else jobs
         specs = [self._spec(*self._normalise(r)) for r in requests]
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        todo: List[Tuple[int, RunSpec]] = []
+        # each missed spec and every batch index that asked for it
         pending: Dict[RunSpec, List[int]] = {}
-        journal = get_journal()
         for i, spec in enumerate(specs):
-            if spec in self._cache:
-                # silent: memory hits are free and would flood progress
-                if journal.enabled:
-                    self._emit_cache("cache.hit", spec, "memory")
-                results[i] = self._cache[spec]
-                continue
-            if spec in pending:       # duplicate request in this batch
+            if spec in pending:       # duplicate of a miss in this batch
                 pending[spec].append(i)
                 continue
-            pending[spec] = [i]
-            disk = self.cache.get(self._fingerprint(spec))
-            if disk is not None:
-                self._cache[spec] = disk
-                results[i] = disk
-                self._emit_cache("cache.hit", spec, "disk")
-                self._report(spec, 0.0, "disk")
+            hit = self.cached(spec)
+            if hit is None:
+                pending[spec] = [i]
                 continue
-            self._emit_cache("cache.miss", spec)
-            todo.append((i, spec))
-        if todo:
-            fresh = self._execute([spec for _i, spec in todo], jobs=jobs)
-            for (i, spec), result in zip(todo, fresh):
-                results[i] = result
+            results[i], source = hit
+            if source == "disk":      # memory hits would flood progress
+                self._report(spec, 0.0, "disk")
+        if pending:
+            fresh = self._execute(list(pending), jobs=jobs)
+            for (spec, indices), result in zip(pending.items(), fresh):
                 self._memoise(spec, result, persist=True)
-        for spec, indices in pending.items():
-            for i in indices:
-                if results[i] is None:
-                    results[i] = self._cache[spec]
+                for i in indices:
+                    results[i] = result
         return results  # type: ignore[return-value]
 
     def prefetch(self, requests: Sequence[Request],

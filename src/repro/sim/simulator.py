@@ -18,8 +18,9 @@ from ..core.plb import PLBPolicy
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import CycleObserver, Pipeline
+from ..pipeline.core import Pipeline
 from ..pipeline.stats import SimStats
+from ..pipeline.usage import CycleObserver
 from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
@@ -146,14 +147,14 @@ def assemble_run(config: MachineConfig, stream: TraceStream,
     here.  ``hierarchy``/``predictor`` share warmed state across
     pipelines (sampling windows); ``prewarm`` installs a synthetic
     workload's working set before cycle 0; ``observers`` are extra
-    per-cycle callbacks attached after the accountant.
+    per-cycle observers attached after the accountant.
     """
     pipeline = Pipeline(config, stream, policy, hierarchy=hierarchy,
                         predictor=predictor)
     if prewarm is not None:
         prewarm.prewarm(pipeline.hierarchy)
     accountant = PowerAccountant(blocks)
-    pipeline.add_observer(accountant.observe)
+    pipeline.add_observer(accountant)
     for observer in observers:
         pipeline.add_observer(observer)
     return pipeline, accountant
@@ -181,13 +182,12 @@ class Simulator:
                       instructions: Optional[int] = None,
                       seed: Optional[int] = None,
                       prewarm: bool = True,
-                      observers: Optional[Iterable] = None
+                      observers: Optional[Iterable[CycleObserver]] = None
                       ) -> SimulationResult:
         """Simulate one SPEC2000-like benchmark under one policy.
 
-        ``observers`` are extra per-cycle callbacks (see
-        :data:`~repro.pipeline.core.CycleObserver`) attached after the
-        power accountant — the opt-in sampling hook.
+        ``observers`` are extra per-cycle observers attached after the
+        power accountant — the opt-in histograms hook.
         """
         profile = (get_profile(benchmark) if isinstance(benchmark, str)
                    else benchmark)

@@ -7,6 +7,8 @@ from repro.core import CycleConstraints, NoGatingPolicy
 from repro.pipeline import MachineConfig, Pipeline
 from repro.trace import FUClass, MicroOp, OpClass, TraceStream
 
+from ..conftest import CycleRecorder
+
 _ALU = int(FUClass.INT_ALU)
 _MULT = int(FUClass.INT_MULT)
 _FP_ALU = int(FUClass.FP_ALU)
@@ -101,11 +103,12 @@ def test_unpipelined_divide_blocks():
 
 def test_disable_removes_highest_index():
     pipe = _disabled_pipe({FUClass.INT_ALU: 3}, n_ops=300)
-    used = set()
-    pipe.add_observer(lambda usage, _decision: used.update(
-        i for i, on in enumerate(usage.fu_active[FUClass.INT_ALU]) if on))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run()
-    assert used == {0, 1, 2}
+    assert {i for usage in recorder.usages
+            for i, on in enumerate(usage.fu_active[FUClass.INT_ALU])
+            if on} == {0, 1, 2}
     # allocation never lands on a withheld unit
     cycle = pipe.cycle + 100
     assert [pipe._allocate(_ALU, OpClass.IALU, cycle)

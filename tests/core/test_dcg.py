@@ -7,6 +7,8 @@ from repro.pipeline import CycleUsage, MachineConfig, Pipeline
 from repro.trace import FUClass, MicroOp, OpClass, TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
+from ..conftest import CycleRecorder
+
 
 def _pipeline(policy, benchmark="gzip", n=3000):
     generator = SyntheticTraceGenerator(get_profile(benchmark))
@@ -64,11 +66,11 @@ def test_gates_exactly_the_unused_blocks():
     policy = DCGPolicy()
     pipe = _pipeline(policy)
     config = pipe.config
-    records = []
-    pipe.add_observer(lambda u, d: records.append((u, d)))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run(max_instructions=2000)
     gated_stage_slots = config.depth.gated_latch_stages * config.issue_width
-    for usage, decision in records:
+    for usage, decision in recorder.records:
         for fu_class in (FUClass.INT_ALU, FUClass.INT_MULT,
                          FUClass.FP_ALU, FUClass.FP_MULT):
             used = usage.fu_used_count(fu_class)
@@ -110,10 +112,10 @@ def test_component_disable_flags():
     policy = DCGPolicy(gate_units=False, gate_latches=False,
                        gate_dcache=False, gate_result_bus=False)
     pipe = _pipeline(policy)
-    records = []
-    pipe.add_observer(lambda u, d: records.append(d))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run(max_instructions=500)
-    for decision in records:
+    for decision in recorder.decisions:
         assert decision.fu_gated == {}
         assert decision.latch_gated_slots == 0
         assert decision.dcache_ports_gated == 0
@@ -142,10 +144,11 @@ def test_dcg_never_gates_issue_queue():
     """§2.2.2: DCG leaves the issue queue to [6]'s technique."""
     policy = DCGPolicy()
     pipe = _pipeline(policy)
-    records = []
-    pipe.add_observer(lambda u, d: records.append(d))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run(max_instructions=500)
-    assert all(d.issue_queue_gated_fraction == 0.0 for d in records)
+    assert all(d.issue_queue_gated_fraction == 0.0
+               for d in recorder.decisions)
 
 
 def test_issue_queue_extension_gates_empty_entries():
@@ -153,20 +156,21 @@ def test_issue_queue_extension_gates_empty_entries():
     gating saves strictly more power at identical cycle counts."""
     plain = DCGPolicy()
     plain_pipe = _pipeline(plain)
-    records_plain = []
-    plain_pipe.add_observer(lambda u, d: records_plain.append(d))
+    plain_recorder = CycleRecorder()
+    plain_pipe.add_observer(plain_recorder)
     plain_stats = plain_pipe.run(max_instructions=2000)
 
     combined = DCGPolicy(gate_issue_queue=True)
     assert combined.name == "dcg+iq"
     combined_pipe = _pipeline(combined)
-    records = []
-    combined_pipe.add_observer(lambda u, d: records.append((u, d)))
+    recorder = CycleRecorder()
+    combined_pipe.add_observer(recorder)
     combined_stats = combined_pipe.run(max_instructions=2000)
 
     assert combined_stats.cycles == plain_stats.cycles
-    assert all(d.issue_queue_gated_fraction == 0.0 for d in records_plain)
+    assert all(d.issue_queue_gated_fraction == 0.0
+               for d in plain_recorder.decisions)
     window = MachineConfig().window_size
-    for usage, decision in records:
+    for usage, decision in recorder.records:
         expected = (window - usage.window_occupancy) / window
         assert decision.issue_queue_gated_fraction == expected

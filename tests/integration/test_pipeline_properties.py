@@ -14,6 +14,8 @@ from repro.pipeline import MachineConfig, Pipeline
 from repro.trace import TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
+from ..conftest import CycleRecorder
+
 _BASES = ("gzip", "mcf", "swim", "mesa")
 
 
@@ -44,9 +46,12 @@ def test_pipeline_invariants_hold_for_any_workload(profile, n):
     pipe = Pipeline(config, TraceStream(iter(generator), limit=n), policy)
     generator.prewarm(pipe.hierarchy)
 
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
+    stats = pipe.run(max_instructions=n)
+    assert stats.committed == n
     violations = []
-
-    def check(usage, decision):
+    for usage in recorder.usages:
         if usage.issued > config.issue_width:
             violations.append(("issue width", usage.cycle))
         if usage.window_occupancy > config.window_size:
@@ -57,9 +62,5 @@ def test_pipeline_invariants_hold_for_any_workload(profile, n):
             violations.append(("ports", usage.cycle))
         if usage.result_bus_used > config.result_buses:
             violations.append(("buses", usage.cycle))
-
-    pipe.add_observer(check)
-    stats = pipe.run(max_instructions=n)
-    assert stats.committed == n
     assert violations == []
     assert stats.cycles >= n / config.issue_width

@@ -7,9 +7,10 @@ just end-of-run totals — plus a digest of a wrong-path pipetrace.
 Canonical JSON writes ``FUClass`` values as plain ints, so the digests
 are the same on every supported Python version.
 
-If a deliberate model change moves these streams, regenerate with
-``python tests/integration/test_usage_golden.py`` and say so in the
-commit message; never regenerate to paper over an accidental diff.
+If a deliberate model change moves these streams, regenerate from the
+repo root with ``PYTHONPATH=src python -m
+tests.integration.test_usage_golden`` and say so in the commit message;
+never regenerate to paper over an accidental diff.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ from repro.pipeline import MachineConfig, Pipeline, render_pipetrace
 from repro.pipeline.usage import CycleUsage
 from repro.trace import FUClass, TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
+
+from ..conftest import CycleRecorder
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "usage_streams.json")
@@ -56,14 +59,25 @@ def _canonical(value):
     return int(value) if isinstance(value, FUClass) else value
 
 
-def _run(regime, observe=None, capture=0):
+def usage_stream_sha256(usages):
+    """SHA-256 over the canonical JSON of each record, one per line."""
+    digest = hashlib.sha256()
+    for usage in usages:
+        record = {name: _canonical(getattr(usage, name))
+                  for name in CycleUsage.__slots__}
+        digest.update(json.dumps(record, sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _run(regime, observer=None, capture=0):
     benchmark, policy_cls, config, instructions, seed = REGIMES[regime]
     generator = SyntheticTraceGenerator(get_profile(benchmark), seed=seed)
     pipe = Pipeline(config, TraceStream(iter(generator), limit=instructions),
                     policy_cls())
     generator.prewarm(pipe.hierarchy)
-    if observe is not None:
-        pipe.add_observer(observe)
+    if observer is not None:
+        pipe.add_observer(observer)
     pipe.capture_ops(capture)
     pipe.run(max_instructions=instructions)
     return pipe
@@ -71,16 +85,10 @@ def _run(regime, observe=None, capture=0):
 
 def usage_digest(regime):
     """``{"cycles": N, "sha256": hex}`` of one regime's usage stream."""
-    digest = hashlib.sha256()
-
-    def observe(usage, decision):
-        record = {name: _canonical(getattr(usage, name))
-                  for name in CycleUsage.__slots__}
-        digest.update(json.dumps(record, sort_keys=True,
-                                 separators=(",", ":")).encode() + b"\n")
-
-    pipe = _run(regime, observe)
-    return {"cycles": pipe.stats.cycles, "sha256": digest.hexdigest()}
+    recorder = CycleRecorder()
+    pipe = _run(regime, recorder)
+    return {"cycles": pipe.stats.cycles,
+            "sha256": usage_stream_sha256(recorder.usages)}
 
 
 def pipetrace_digest():

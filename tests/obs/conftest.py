@@ -1,4 +1,4 @@
-"""Hermetic observability tests: no inherited journal or sampling env."""
+"""Hermetic observability tests: no inherited journal or histograms env."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ def _isolated_journal(monkeypatch):
     """Each test starts with a clean journal and no obs environment."""
     monkeypatch.delenv("REPRO_LOG_DIR", raising=False)
     monkeypatch.delenv("REPRO_LOG", raising=False)
-    monkeypatch.delenv("REPRO_SAMPLE", raising=False)
+    monkeypatch.delenv("REPRO_HISTOGRAMS", raising=False)
     configure_journal()
     yield
     configure_journal()

@@ -1,12 +1,13 @@
-"""Per-cycle sampling: opt-in, result-invariant, coherent histograms."""
+"""Per-cycle histograms: opt-in, result-invariant, coherent."""
 
 import json
 
 from repro.obs import configure_journal, read_events
-from repro.obs.sampling import PipelineSampler, sampling_enabled
+from repro.obs.histograms import CycleHistograms, histograms_enabled
 from repro.pipeline import core
 from repro.service.jobs import make_spec
 from repro.sim import Simulator
+from repro.sim import checkpoint
 from repro.sim.parallel import RunSpec, simulate_spec
 
 INSTRUCTIONS = 400
@@ -14,21 +15,21 @@ INSTRUCTIONS = 400
 
 def test_sampling_enabled_env_parsing(monkeypatch):
     for off in ("", "0", "off", "false", "OFF", "False"):
-        monkeypatch.setenv("REPRO_SAMPLE", off)
-        assert not sampling_enabled()
+        monkeypatch.setenv("REPRO_HISTOGRAMS", off)
+        assert not histograms_enabled()
     for on in ("1", "yes", "on", "true"):
-        monkeypatch.setenv("REPRO_SAMPLE", on)
-        assert sampling_enabled()
-    monkeypatch.delenv("REPRO_SAMPLE")
-    assert not sampling_enabled()
+        monkeypatch.setenv("REPRO_HISTOGRAMS", on)
+        assert histograms_enabled()
+    monkeypatch.delenv("REPRO_HISTOGRAMS")
+    assert not histograms_enabled()
 
 
 def test_sampling_does_not_change_results(tmp_path, monkeypatch):
-    """The PR 3 bit-identity contract: an attached sampler observes the
-    pipeline, it never influences it."""
+    """The bit-identity contract: attached histograms observe the
+    pipeline, they never influence it."""
     spec = make_spec("gzip", "dcg", instructions=INSTRUCTIONS)
     plain = simulate_spec(spec)
-    monkeypatch.setenv("REPRO_SAMPLE", "1")
+    monkeypatch.setenv("REPRO_HISTOGRAMS", "1")
     configure_journal(path=str(tmp_path / "events.jsonl"))
     sampled = simulate_spec(spec)
     assert sampled.cycles == plain.cycles
@@ -38,13 +39,13 @@ def test_sampling_does_not_change_results(tmp_path, monkeypatch):
 
 
 def test_sample_event_histograms_are_coherent(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SAMPLE", "1")
+    monkeypatch.setenv("REPRO_HISTOGRAMS", "1")
     path = tmp_path / "events.jsonl"
     configure_journal(path=str(path))
     spec = make_spec("gzip", "dcg", instructions=INSTRUCTIONS)
     result = simulate_spec(spec)
     events = list(read_events(str(path)))
-    (sample,) = [e for e in events if e["kind"] == "sim.sample"]
+    (sample,) = [e for e in events if e["kind"] == "sim.histograms"]
     assert sample["benchmark"] == "gzip" and sample["policy"] == "dcg"
     # every histogram partitions the same cycle count
     assert sample["cycles"] == result.cycles
@@ -71,34 +72,34 @@ def test_no_sample_event_without_env(tmp_path):
     simulate_spec(make_spec("gzip", "dcg", instructions=INSTRUCTIONS))
     kinds = {e["kind"] for e in read_events(str(path))}
     assert "sim.start" in kinds and "sim.finish" in kinds
-    assert "sim.sample" not in kinds
+    assert "sim.histograms" not in kinds
 
 
 def test_checkpointed_run_emits_no_empty_sample(tmp_path, monkeypatch):
-    """A run the checkpointed strategy handles never hooks the sampler,
-    so it must not report an all-zero ``sim.sample`` beside its real
-    ``sim.finish``."""
-    monkeypatch.setenv("REPRO_SAMPLE", "1")
+    """A run the checkpointed strategy handles never hooks the
+    histograms, so it must not report an all-zero ``sim.histograms``
+    beside its real ``sim.finish``."""
+    monkeypatch.setenv("REPRO_HISTOGRAMS", "1")
     monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-    monkeypatch.setenv("REPRO_CHECKPOINT_CHUNK", "1000")
+    monkeypatch.setattr(checkpoint, "DEFAULT_CHUNK", 1000)
     path = tmp_path / "events.jsonl"
     configure_journal(path=str(path))
     result = simulate_spec(RunSpec("baseline", "gzip", "dcg", 4000))
     events = list(read_events(str(path)))
     (finish,) = [e for e in events if e["kind"] == "sim.finish"]
     assert finish["cycles"] == result.cycles > 0
-    assert [e for e in events if e["kind"] == "sim.sample"] == []
+    assert [e for e in events if e["kind"] == "sim.histograms"] == []
 
 
 def test_sampler_summary_is_identical_with_skipping_off(monkeypatch):
-    """Skipped idle spans reach the sampler through ``observe_span``;
-    its histograms must equal the cycle-by-cycle ones exactly."""
+    """Skipped idle spans reach the histograms through
+    ``observe_span``; they must equal the cycle-by-cycle ones exactly."""
     summaries = []
     for skip in (True, False):
         monkeypatch.setattr(core, "SKIP_QUIESCENT", skip)
-        sampler = PipelineSampler()
+        histograms = CycleHistograms()
         Simulator().run_benchmark("mcf", "dcg", instructions=1500,
-                                  observers=[sampler.observe])
-        summaries.append(sampler.summary())
+                                  observers=[histograms])
+        summaries.append(histograms.summary())
     assert summaries[0] == summaries[1]
     assert summaries[0]["cycles"] > 1500        # mcf idles on misses

@@ -13,6 +13,8 @@ from repro.pipeline import MachineConfig, Pipeline
 from repro.trace import MicroOp, OpClass, TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
+from ..conftest import CycleRecorder
+
 
 def _ops_independent(n, start_pc=0x1000):
     return [MicroOp(i, start_pc + 4 * i, OpClass.IALU,
@@ -23,11 +25,11 @@ def _run(ops, config):
     pipe = Pipeline(config, TraceStream(ops), NoGatingPolicy())
     for op in ops:
         pipe.hierarchy.l1i.preload(op.pc)
-    usages = []
-    pipe.add_observer(lambda u, d: usages.append(
-        (u.cycle, u.result_bus_used, u.committed)))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     stats = pipe.run()
-    return stats, usages
+    return stats, [(u.cycle, u.result_bus_used, u.committed)
+                   for u in recorder.usages]
 
 
 def test_single_bus_serialises_writeback():
@@ -70,8 +72,8 @@ def test_spill_under_squash_stays_within_one_bus():
     pipe = Pipeline(config, TraceStream(iter(generator), limit=2000),
                     NoGatingPolicy())
     generator.prewarm(pipe.hierarchy)
-    buses = []
-    pipe.add_observer(lambda u, d: buses.append(u.result_bus_used))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     stats = pipe.run(max_instructions=2000)
     assert stats.wrong_path_squashed > 0
-    assert max(buses) == 1
+    assert max(u.result_bus_used for u in recorder.usages) == 1

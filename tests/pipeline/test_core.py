@@ -7,6 +7,8 @@ from repro.pipeline import MachineConfig, Pipeline
 from repro.pipeline.config import DEEP_DEPTH
 from repro.trace import MicroOp, OpClass, TraceStream
 
+from ..conftest import CycleRecorder
+
 
 def _ops_independent(n, op_class=OpClass.IALU, start_pc=0x1000):
     """n operations with no register dependences (distinct dests)."""
@@ -199,31 +201,31 @@ def test_lsq_occupancy_bounded():
                    mem_addr=0x100000 + 8 * (i % 8)) for i in range(200)]
     config = MachineConfig(lsq_size=16)
     pipe = Pipeline(config, TraceStream(ops), NoGatingPolicy())
-    seen = []
-    pipe.add_observer(lambda u, d: seen.append(u.lsq_occupancy))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     stats = pipe.run()
     assert stats.committed == 200
-    assert max(seen) <= 16
+    assert max(u.lsq_occupancy for u in recorder.usages) <= 16
 
 
 def test_window_size_respected():
     config = MachineConfig(window_size=16)
     ops = _ops_chain(100)
     pipe = Pipeline(config, TraceStream(ops), NoGatingPolicy())
-    seen = []
-    pipe.add_observer(lambda u, d: seen.append(u.window_occupancy))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     stats = pipe.run()
     assert stats.committed == 100
-    assert max(seen) <= 16
+    assert max(u.window_occupancy for u in recorder.usages) <= 16
 
 
 def test_commit_width_respected():
     pipe = Pipeline(MachineConfig(), TraceStream(_ops_independent(200)),
                     NoGatingPolicy())
-    commits = []
-    pipe.add_observer(lambda u, d: commits.append(u.committed))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run()
-    assert max(commits) <= 8
+    assert max(u.committed for u in recorder.usages) <= 8
 
 
 def test_max_instructions_stops_early():

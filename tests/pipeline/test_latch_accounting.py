@@ -10,6 +10,8 @@ from repro.pipeline import MachineConfig, Pipeline
 from repro.pipeline.config import DepthConfig
 from repro.trace import MicroOp, OpClass, TraceStream
 
+from ..conftest import CycleRecorder
+
 
 def _independent(n):
     return [MicroOp(i, 0x1000 + 4 * i, OpClass.IALU, dest=4 + i % 20)
@@ -21,10 +23,10 @@ def _record_run(ops, config=None):
                     NoGatingPolicy())
     for op in ops:
         pipe.hierarchy.l1i.preload(op.pc)
-    records = []
-    pipe.add_observer(lambda u, d: records.append(u))
+    recorder = CycleRecorder()
+    pipe.add_observer(recorder)
     pipe.run()
-    return records
+    return recorder.usages
 
 
 def test_regread_slots_are_issue_delayed_by_one():

@@ -90,7 +90,7 @@ def test_real_runs_are_invariant_clean(policy_factory):
                     policy_factory())
     generator.prewarm(pipe.hierarchy)
     checker = InvariantChecker(config)
-    pipe.add_observer(checker.observe)
+    pipe.add_observer(checker)
     pipe.run(max_instructions=2000)
     assert checker.clean
     assert checker.cycles_checked == pipe.stats.cycles

@@ -15,7 +15,7 @@ def _run(wrong_path, benchmark="gcc", n=4000, policy=None):
                     policy or NoGatingPolicy())
     generator.prewarm(pipe.hierarchy)
     checker = InvariantChecker(config)
-    pipe.add_observer(checker.observe)
+    pipe.add_observer(checker)
     stats = pipe.run(max_instructions=n)
     return pipe, stats, checker
 
@@ -70,7 +70,7 @@ def test_wrong_path_reduces_dcg_saving_slightly():
                         DCGPolicy())
         generator.prewarm(pipe.hierarchy)
         accountant = PowerAccountant(BlockPowers(config))
-        pipe.add_observer(accountant.observe)
+        pipe.add_observer(accountant)
         pipe.run(max_instructions=5000)
         return accountant.total_saving_fraction
 

@@ -77,7 +77,7 @@ def test_on_real_pipeline_run(blocks):
                     TraceStream(iter(generator), limit=1500), DCGPolicy())
     generator.prewarm(pipe.hierarchy)
     recorder = PowerTraceRecorder(blocks)
-    pipe.add_observer(recorder.observe)
+    pipe.add_observer(recorder)
     pipe.run(max_instructions=1500)
     assert recorder.cycles == pipe.stats.cycles
     assert 0 < recorder.mean_power < blocks.total

@@ -4,12 +4,13 @@ The cycle core jumps its clock over idle spans (DESIGN.md §14.3).  For
 any benchmark, built-in policy, seed and machine perturbation, a run
 with skipping on must equal the same run stepped cycle by cycle: the
 same serialised result (cycles, IPC, every energy down to the last ulp,
-PLB mode cycles, DCG toggles) and the same per-cycle usage stream, with
-:class:`~repro.pipeline.verification.InvariantChecker` silent on both.
+PLB mode cycles, DCG toggles), the same per-cycle usage stream, power
+trace and histograms, and a silent
+:class:`~repro.pipeline.verification.InvariantChecker` on both.  Every
+built-in observer is attached, so each one's span handling is checked
+through the observer protocol.
 """
 
-import hashlib
-import json
 import pickle
 from contextlib import contextmanager
 from dataclasses import replace
@@ -17,10 +18,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.histograms import CycleHistograms
 from repro.pipeline import MachineConfig, core
-from repro.pipeline.usage import CycleUsage
 from repro.pipeline.verification import InvariantChecker
 from repro.power.budget import BlockPowers, PowerCalibration
+from repro.power.tracing import PowerTraceRecorder
 from repro.sim.cache import result_to_dict
 from repro.sim.checkpoint import PausableRun
 from repro.sim.configs import config_from_tag
@@ -29,7 +31,8 @@ from repro.sim.simulator import (BUILTIN_POLICIES, assemble_run,
 from repro.trace import TraceStream
 from repro.workloads import SPEC2000, SyntheticTraceGenerator, get_profile
 
-from ..integration.test_usage_golden import _canonical
+from ..conftest import CycleRecorder
+from ..integration.test_usage_golden import usage_stream_sha256
 
 INSTRUCTIONS = 1200
 
@@ -45,25 +48,25 @@ def skipping(enabled):
 
 
 def _run(benchmark, policy, seed, config):
-    """Serialised result and per-cycle usage digest of one run."""
-    digest = hashlib.sha256()
-
-    def record(usage, decision):
-        fields = {name: _canonical(getattr(usage, name))
-                  for name in CycleUsage.__slots__}
-        digest.update(json.dumps(fields, sort_keys=True).encode())
-
+    """Serialised result, per-cycle usage digest, power trace and
+    histograms of one run."""
     generator = SyntheticTraceGenerator(get_profile(benchmark), seed=seed)
     policy_obj = make_policy(policy)
+    blocks = BlockPowers(config, PowerCalibration())
     checker = InvariantChecker(config)
+    recorder = CycleRecorder()
+    trace = PowerTraceRecorder(blocks)
+    histograms = CycleHistograms()
     pipe, accountant = assemble_run(
         config, TraceStream(iter(generator), limit=INSTRUCTIONS),
-        policy_obj, BlockPowers(config, PowerCalibration()),
-        prewarm=generator, observers=(checker.observe, record))
+        policy_obj, blocks, prewarm=generator,
+        observers=(checker, recorder, trace, histograms))
     stats = pipe.run(max_instructions=INSTRUCTIONS)
     assert checker.clean and checker.cycles_checked == stats.cycles
+    assert trace.cycles == histograms.cycles == stats.cycles
     result = build_result(benchmark, policy_obj, accountant, stats)
-    return result_to_dict(result), digest.hexdigest()
+    return (result_to_dict(result), usage_stream_sha256(recorder.usages),
+            trace.samples, histograms.summary())
 
 
 @st.composite
@@ -109,6 +112,16 @@ def test_checkpoint_cut_and_resume_with_skipping(program, policy):
         run = PausableRun.resume(pickle.loads(pickle.dumps(run.state())))
         run.advance()
         assert result_to_dict(run.result()) == expected
+
+
+def test_add_observer_rejects_a_plain_callable():
+    """Observers declare the protocol; a bare function would have no
+    span method for the core to call."""
+    pipe = core.Pipeline(MachineConfig(), TraceStream(iter(())),
+                         make_policy("base"))
+    with pytest.raises(TypeError, match="CycleObserver"):
+        pipe.add_observer(lambda usage, decision: None)
+    assert pipe.observers == []
 
 
 def test_watchdog_fires_at_the_same_cycle(monkeypatch):

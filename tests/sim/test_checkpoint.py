@@ -9,9 +9,7 @@ import pytest
 from repro.sim import (CheckpointStore, PausableRun, SimulationInterrupted,
                        Simulator, run_resumable_spec)
 from repro.sim.cache import result_to_dict
-from repro.sim.checkpoint import (CHECKPOINT_DIR_ENV_VAR, CHUNK_ENV_VAR,
-                                  DEFAULT_CHUNK, checkpoint_chunk,
-                                  spec_checkpoint_key)
+from repro.sim.checkpoint import CHECKPOINT_DIR_ENV_VAR, spec_checkpoint_key
 from repro.sim.parallel import RunSpec
 
 INSTRUCTIONS = 2_000
@@ -20,7 +18,6 @@ INSTRUCTIONS = 2_000
 @pytest.fixture(autouse=True)
 def _no_inherited_checkpoint_env(monkeypatch):
     monkeypatch.delenv(CHECKPOINT_DIR_ENV_VAR, raising=False)
-    monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
 
 
 def _store(tmp_path) -> CheckpointStore:
@@ -125,15 +122,6 @@ def test_unpicklable_state_is_dropped_not_raised(tmp_path):
     assert store.save("78" + "0" * 62, "run",
                       {"gen": (x for x in range(3))}) is False
     assert store.dropped == 1
-
-
-def test_checkpoint_chunk_env(monkeypatch):
-    assert checkpoint_chunk() == DEFAULT_CHUNK
-    monkeypatch.setenv(CHUNK_ENV_VAR, "1234")
-    assert checkpoint_chunk() == 1234
-    monkeypatch.setenv(CHUNK_ENV_VAR, "0")
-    with pytest.raises(ValueError, match=CHUNK_ENV_VAR):
-        checkpoint_chunk()
 
 
 def test_spec_checkpoint_key_isolates_sample_plans():

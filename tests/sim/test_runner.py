@@ -202,3 +202,44 @@ def test_local_reports_default_to_batch_size_one():
     runner = ExperimentRunner(instructions=700, progress=reports.append)
     runner.run("gzip", "base")
     assert reports and all(r.batch_size == 1 for r in reports)
+
+
+def test_lookups_journal_and_report_each_source(tmp_path):
+    """``run`` and ``run_many`` resolve through ``cached``: memory hits
+    are journaled but print no progress, disk hits do both, misses
+    journal once per distinct spec, and factory runs look in memory
+    only."""
+    from repro.obs import configure_journal, read_events
+    from repro.sim import ResultCache
+    root = str(tmp_path / "cache")
+    ExperimentRunner(instructions=700, cache=ResultCache(root)).run(
+        "gzip", "base")
+    path = str(tmp_path / "events.jsonl")
+    configure_journal(path=path)
+    try:
+        reports = []
+        runner = ExperimentRunner(instructions=700, cache=ResultCache(root),
+                                  progress=reports.append)
+        runner.run("gzip", "dcg")
+        results = runner.run_many([("gzip", "dcg"), ("gzip", "base"),
+                                   ("mcf", "base"), ("mcf", "base"),
+                                   ("gzip", "base")])
+        for _ in range(2):
+            runner.run("gzip", "dcg-no-latches",
+                       policy_factory=lambda: DCGPolicy(gate_latches=False))
+    finally:
+        configure_journal()
+    lookups = [(e["kind"], e.get("layer"), e["benchmark"], e["policy"])
+               for e in read_events(path) if e["kind"].startswith("cache.")]
+    assert lookups == [
+        ("cache.miss", None, "gzip", "dcg"),
+        ("cache.hit", "memory", "gzip", "dcg"),
+        ("cache.hit", "disk", "gzip", "base"),
+        ("cache.miss", None, "mcf", "base"),
+        ("cache.hit", "memory", "gzip", "base"),
+        ("cache.hit", "memory", "gzip", "dcg-no-latches"),
+    ]
+    assert [(r.spec.benchmark, r.spec.policy, r.source) for r in reports] \
+        == [("gzip", "dcg", "run"), ("gzip", "base", "disk"),
+            ("mcf", "base", "run"), ("gzip", "dcg-no-latches", "run")]
+    assert results[2] is results[3] and results[1] is results[4]

@@ -156,8 +156,7 @@ def test_run_sampled_spec_interrupt_then_resume(tmp_path):
     assert store.peek(key) is None      # discarded on completion
 
 
-def test_simulate_spec_routes_sampled(monkeypatch):
-    monkeypatch.delenv("REPRO_SAMPLE_EVERY", raising=False)
+def test_simulate_spec_routes_sampled():
     via_spec = simulate_spec(_spec())
     direct = SampledRun("gzip", "dcg", INSTRUCTIONS, SAMPLE).run()
     assert result_to_dict(via_spec) == result_to_dict(direct)
