@@ -50,9 +50,8 @@ events — so the invariance goldens and the ``e2ebench`` workloads are
 untouched (all sites sit on per-job/per-request paths, never the
 per-cycle hot loop).
 
-Every fired injection emits a ``fault.inject`` journal event and, when
-a registry is bound (the service binds its own), increments
-``repro_faults_injected_total{site=...}``.
+Every fired injection emits a ``fault.inject`` journal event and is
+tallied per site in :meth:`FaultPlan.counts`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..obs.events import get_journal
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["FAULTS_ENV_VAR", "FaultPlan", "FaultRule", "SITES",
            "configure_faults", "corrupt_file", "fault_active", "get_plan",
@@ -119,10 +117,10 @@ class FaultPlan:
     """The process's active fault rules plus their decision state.
 
     ``decide`` is the single chokepoint: it counts the arrival, applies
-    the site's rule deterministically, records the injection (tally,
-    journal event, bound metrics counter), and returns whether the call
-    site should fire its fault.  A site without a rule returns False on
-    a plain dict miss — the disabled cost.
+    the site's rule deterministically, records the injection (tally and
+    journal event), and returns whether the call site should fire its
+    fault.  A site without a rule returns False on a plain dict miss —
+    the disabled cost.
     """
 
     def __init__(self, rules: Iterable[FaultRule] = ()) -> None:
@@ -138,7 +136,6 @@ class FaultPlan:
         self._lock = threading.Lock()
         self._arrivals: TallyCounter = TallyCounter()
         self._injected: TallyCounter = TallyCounter()
-        self._counter = None             # bound registry counter, if any
 
     @property
     def enabled(self) -> bool:
@@ -170,22 +167,7 @@ class FaultPlan:
             return False
         get_journal().emit("fault.inject", site=site, arrival=arrival,
                            injected=injected)
-        if self._counter is not None:
-            self._counter.labels(site=site).inc()
         return True
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Expose injections as ``repro_faults_injected_total{site=}``.
-
-        The service binds its registry at construction; rules' children
-        are pre-created so an idle site still scrapes as 0.
-        """
-        self._counter = registry.counter(
-            "repro_faults_injected_total",
-            "faults fired by the REPRO_FAULTS injection plan",
-            labelnames=("site",))
-        for site in self._rules:
-            self._counter.labels(site=site)
 
     def counts(self) -> Dict[str, Dict[str, int]]:
         """``{site: {"arrivals": n, "injected": m}}`` snapshot."""

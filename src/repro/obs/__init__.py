@@ -4,11 +4,11 @@ The subsystem the rest of the repo reports through:
 
 * :mod:`~repro.obs.events` — structured JSON-lines run journal
   (``REPRO_LOG_DIR`` / ``REPRO_LOG=stderr``; disabled by default).
-* :mod:`~repro.obs.tracing` — trace/span IDs propagated CLI → HTTP
-  service → worker subprocess, so one command yields one trace.
-* :mod:`~repro.obs.metrics` — Prometheus-style registry (counters,
-  gauges, bounded-reservoir histograms) behind the service's
-  ``/metrics`` and ``/metrics?format=prom``.
+* :mod:`~repro.obs.tracing` — trace/span IDs propagated through the
+  job queue and into worker subprocesses, so one command (or one
+  service job) yields one trace.
+* :mod:`~repro.obs.metrics` — the bounded-reservoir latency histogram
+  behind the service's JSON ``/metrics`` percentiles.
 * :mod:`~repro.obs.histograms` — opt-in per-cycle occupancy/gating
   histograms (``REPRO_HISTOGRAMS=1``), off the hot path when disabled.
 * :mod:`~repro.obs.summary` — journal post-processing for
@@ -21,33 +21,25 @@ whole layer is inert.
 from .events import (EventJournal, JOURNAL_FILENAME, LOG_DIR_ENV_VAR,
                      LOG_ENV_VAR, SCHEMA_VERSION, configure_journal,
                      get_journal, journal_path_from_env, read_events)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      validate_prom_text)
+from .metrics import Histogram
 from .histograms import CycleHistograms, HISTOGRAMS_ENV_VAR, histograms_enabled
 from .summary import (format_event_line, format_summary, summarize_events,
                       summarize_journal, tail_events)
-from .tracing import (SPAN_HEADER, SpanContext, TRACE_HEADER, activate,
-                      context_from_headers, current_context, new_span_id,
-                      new_trace_id, span, trace_headers)
+from .tracing import (SpanContext, activate, current_context, new_span_id,
+                      new_trace_id, span)
 
 __all__ = [
-    "Counter",
     "CycleHistograms",
     "EventJournal",
-    "Gauge",
     "HISTOGRAMS_ENV_VAR",
     "Histogram",
     "JOURNAL_FILENAME",
     "LOG_DIR_ENV_VAR",
     "LOG_ENV_VAR",
-    "MetricsRegistry",
     "SCHEMA_VERSION",
-    "SPAN_HEADER",
     "SpanContext",
-    "TRACE_HEADER",
     "activate",
     "configure_journal",
-    "context_from_headers",
     "current_context",
     "format_event_line",
     "format_summary",
@@ -61,6 +53,4 @@ __all__ = [
     "summarize_events",
     "summarize_journal",
     "tail_events",
-    "trace_headers",
-    "validate_prom_text",
 ]

@@ -1,239 +1,42 @@
-"""Prometheus-style metrics registry (counters, gauges, histograms).
+"""Bounded-reservoir latency histogram behind the service's ``/metrics``.
 
-The service's ``/metrics`` used to be a hand-assembled dict; this
-module gives it (and anything else) a shared registry of typed
-instruments instead:
+The worker pool's ``p50_seconds``/``p95_seconds`` come from a
+:class:`Histogram`: exact ``count``/``sum``/``min``/``max`` plus a
+**bounded reservoir** (Vitter's Algorithm R, seeded RNG) for
+percentiles, so a long-lived server's latency samples occupy O(1)
+memory no matter how many jobs it serves.
 
-* :class:`Counter` — monotonically increasing float, optionally with a
-  fixed label dimension (``counter.labels(layer="disk").inc()``).
-* :class:`Gauge` — a settable value or a zero-argument callback
-  sampled at scrape time (queue depth, uptime).
-* :class:`Histogram` — exact ``count``/``sum``/``min``/``max`` plus a
-  **bounded reservoir** (Vitter's Algorithm R, seeded RNG) for
-  percentiles, so a long-lived server's latency samples occupy O(1)
-  memory no matter how many jobs it serves.
-
-A :class:`MetricsRegistry` renders two ways: :meth:`~MetricsRegistry.
-snapshot` (a flat JSON-friendly dict, the existing ``/metrics``
-payload) and :meth:`~MetricsRegistry.render_prom` (Prometheus text
-exposition format, served at ``/metrics?format=prom``; histograms
-render as summaries with ``quantile`` labels).  A tiny
-:func:`validate_prom_text` linter backs the CI scrape check.
-
-Everything is standard library and thread-safe at the instrument level.
+Everything is standard library and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 import threading
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import List
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "validate_prom_text"]
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+__all__ = ["Histogram"]
 
 
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ValueError(f"invalid metric name {name!r}")
-    return name
-
-
-def _escape_label(value: str) -> str:
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _format_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def _labels_suffix(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{_escape_label(value)}"'
-                     for key, value in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-class _Metric:
-    """Shared naming/help plumbing for the three instrument kinds."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "") -> None:  # noqa: A002
-        self.name = _check_name(name)
-        self.help = help
-        self._lock = threading.Lock()
-
-    def header_lines(self) -> List[str]:
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {self.name} {self.help}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        return lines
-
-    def render(self) -> List[str]:
-        raise NotImplementedError
-
-    def snapshot(self) -> Dict[str, float]:
-        raise NotImplementedError
-
-
-class Counter(_Metric):
-    """Monotonic counter, optionally labelled along fixed label names."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "",  # noqa: A002
-                 labelnames: Tuple[str, ...] = ()) -> None:
-        super().__init__(name, help)
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        self.labelnames = tuple(labelnames)
-        self._value = 0.0
-        self._children: Dict[Tuple[str, ...], float] = {}
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        if self.labelnames:
-            raise ValueError(f"{self.name} is labelled; use .labels()")
-        with self._lock:
-            self._value += amount
-
-    def labels(self, **labels: str) -> "_LabelledCounter":
-        if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
-            raise ValueError(
-                f"{self.name} takes labels {self.labelnames}, "
-                f"got {tuple(labels)}")
-        key = tuple(str(labels[name]) for name in self.labelnames)
-        with self._lock:
-            self._children.setdefault(key, 0.0)
-        return _LabelledCounter(self, key)
-
-    def _inc_child(self, key: Tuple[str, ...], amount: float) -> None:
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            if self.labelnames:
-                return sum(self._children.values())
-            return self._value
-
-    def child_value(self, **labels: str) -> float:
-        key = tuple(str(labels[name]) for name in self.labelnames)
-        with self._lock:
-            return self._children.get(key, 0.0)
-
-    def render(self) -> List[str]:
-        with self._lock:
-            if not self.labelnames:
-                return [f"{self.name} {_format_value(self._value)}"]
-            return [
-                self.name
-                + _labels_suffix(dict(zip(self.labelnames, key)))
-                + f" {_format_value(value)}"
-                for key, value in sorted(self._children.items())]
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            if not self.labelnames:
-                return {self.name: self._value}
-            return {f"{self.name}_{'_'.join(key)}": value
-                    for key, value in sorted(self._children.items())}
-
-
-class _LabelledCounter:
-    """One labelled child of a :class:`Counter`."""
-
-    __slots__ = ("_parent", "_key")
-
-    def __init__(self, parent: Counter, key: Tuple[str, ...]) -> None:
-        self._parent = parent
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self._parent._inc_child(self._key, amount)
-
-    @property
-    def value(self) -> float:
-        with self._parent._lock:
-            return self._parent._children.get(self._key, 0.0)
-
-
-class Gauge(_Metric):
-    """Settable value, or a callback sampled at scrape time."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",  # noqa: A002
-                 fn: Optional[Callable[[], float]] = None) -> None:
-        super().__init__(name, help)
-        self._fn = fn
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"{self.name} is callback-backed")
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            try:
-                return float(self._fn())
-            except Exception:            # noqa: BLE001 - scrape boundary
-                return float("nan")
-        with self._lock:
-            return self._value
-
-    def render(self) -> List[str]:
-        return [f"{self.name} {_format_value(self.value)}"]
-
-    def snapshot(self) -> Dict[str, float]:
-        return {self.name: self.value}
-
-
-class Histogram(_Metric):
+class Histogram:
     """Bounded-reservoir histogram: O(1) memory, percentile queries.
 
     ``count``/``sum``/``min``/``max`` are exact over every observation;
     percentiles are nearest-rank over a ``reservoir_size``-sample
     uniform reservoir (Algorithm R), which is the textbook fix for the
     grow-forever latency lists a long-lived server otherwise
-    accumulates.  The replacement RNG is seeded per instrument so runs
+    accumulates.  The replacement RNG is seeded from ``name`` so runs
     are reproducible.
     """
 
-    kind = "summary"
-
-    def __init__(self, name: str, help: str = "",  # noqa: A002
-                 reservoir_size: int = 512,
-                 quantiles: Tuple[float, ...] = (0.5, 0.95)) -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str, reservoir_size: int = 512) -> None:
         if reservoir_size <= 0:
             raise ValueError("reservoir_size must be positive")
+        self.name = name
         self.reservoir_size = reservoir_size
-        self.quantiles = quantiles
+        self._lock = threading.Lock()
         self._samples: List[float] = []
         # crc32, not hash(): str hashing is per-process randomised, so
         # the promised "reproducible runs" only held within one process
@@ -276,158 +79,3 @@ class Histogram(_Metric):
             index = min(len(ordered) - 1,
                         int(round(q * (len(ordered) - 1))))
             return ordered[index]
-
-    def render(self) -> List[str]:
-        lines = [
-            self.name + _labels_suffix({"quantile": str(q)})
-            + f" {_format_value(self.percentile(q))}"
-            for q in self.quantiles]
-        with self._lock:
-            lines.append(f"{self.name}_sum {_format_value(self._sum)}")
-            lines.append(f"{self.name}_count {self._count}")
-        return lines
-
-    def snapshot(self) -> Dict[str, float]:
-        data = {f"{self.name}_count": float(self.count),
-                f"{self.name}_sum": self.sum}
-        for q in self.quantiles:
-            data[f"{self.name}_p{int(q * 100)}"] = self.percentile(q)
-        return data
-
-
-class MetricsRegistry:
-    """Named instruments with idempotent registration.
-
-    ``counter``/``gauge``/``histogram`` return the existing instrument
-    when one with the same name is already registered (and raise on a
-    kind mismatch), so independent components can share instruments by
-    name without ordering constraints.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, _Metric] = {}
-        self._lock = threading.Lock()
-
-    def _register(self, metric_cls, name: str, *args, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, metric_cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}")
-                return existing
-            metric = metric_cls(name, *args, **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help: str = "",  # noqa: A002
-                labelnames: Tuple[str, ...] = ()) -> Counter:
-        return self._register(Counter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",  # noqa: A002
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        return self._register(Gauge, name, help, fn)
-
-    def histogram(self, name: str, help: str = "",  # noqa: A002
-                  reservoir_size: int = 512,
-                  quantiles: Tuple[float, ...] = (0.5, 0.95)) -> Histogram:
-        return self._register(Histogram, name, help, reservoir_size,
-                              quantiles)
-
-    def get(self, name: str) -> Optional[_Metric]:
-        with self._lock:
-            return self._metrics.get(name)
-
-    def __iter__(self) -> Iterable[_Metric]:
-        with self._lock:
-            return iter(sorted(self._metrics.values(),
-                               key=lambda m: m.name))
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``{name: value}`` dict (the JSON ``/metrics`` view)."""
-        data: Dict[str, float] = {}
-        for metric in self:
-            data.update(metric.snapshot())
-        return data
-
-    def render_prom(self) -> str:
-        """Prometheus text exposition format, trailing newline included."""
-        lines: List[str] = []
-        for metric in self:
-            lines.extend(metric.header_lines())
-            lines.extend(metric.render())
-        return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------------
-# text-format lint (backs the CI scrape check)
-# ---------------------------------------------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
-    r" (?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN))"
-    r"( [0-9]+)?$")
-_LABEL_PAIR_RE = re.compile(
-    r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$')
-_VALID_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
-
-
-def validate_prom_text(text: str) -> List[str]:
-    """Lint Prometheus text-format exposition; a list of problems.
-
-    Checks line syntax, label-pair syntax, that ``# TYPE`` declarations
-    precede their samples and are not repeated, and that declared
-    metric types are real.  An empty return value means the text is
-    well-formed (it does not prove a real Prometheus server would
-    ingest it — this is a guard rail, not a conformance suite).
-    """
-    problems: List[str] = []
-    typed: Dict[str, str] = {}
-    sampled: set = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                problems.append(f"line {lineno}: malformed comment "
-                                f"(expected # HELP/# TYPE): {line!r}")
-                continue
-            if not _NAME_RE.match(parts[2]):
-                problems.append(
-                    f"line {lineno}: invalid metric name {parts[2]!r}")
-                continue
-            if parts[1] == "TYPE":
-                if len(parts) != 4 or parts[3] not in _VALID_TYPES:
-                    problems.append(
-                        f"line {lineno}: invalid TYPE for {parts[2]}")
-                elif parts[2] in typed:
-                    problems.append(
-                        f"line {lineno}: duplicate TYPE for {parts[2]}")
-                elif parts[2] in sampled:
-                    problems.append(
-                        f"line {lineno}: TYPE for {parts[2]} after its "
-                        "samples")
-                else:
-                    typed[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            problems.append(f"line {lineno}: malformed sample: {line!r}")
-            continue
-        labels = match.group("labels")
-        if labels:
-            body = labels[1:-1].strip()
-            if body:
-                for pair in body.split(","):
-                    if not _LABEL_PAIR_RE.match(pair.strip()):
-                        problems.append(
-                            f"line {lineno}: malformed label pair "
-                            f"{pair.strip()!r}")
-        sampled.add(match.group("name"))
-        base = re.sub(r"_(sum|count|bucket|total)$", "",
-                      match.group("name"))
-        sampled.add(base)
-    return problems

@@ -1,22 +1,22 @@
-"""Span tracing across the CLI, the HTTP service, and worker processes.
+"""Span tracing across the CLI, the service, and worker processes.
 
-One logical request — ``repro compare --server`` say — fans out into an
-HTTP batch submission, per-job queue traffic, and simulations in worker
+One logical request — ``repro compare --jobs N`` say, or one job on
+the service — fans out into queue traffic and simulations in worker
 subprocesses.  This module gives all of those a shared *trace*: a
-trace ID minted once at the entry point (the CLI command or a bare
-:class:`~repro.service.client.ServiceClient`), plus a parent-linked
-*span* per unit of work.  Everything the
+trace ID minted once at the entry point (the CLI command, or the
+``http.submit`` span of one ``POST /v1/runs`` batch), plus a
+parent-linked *span* per unit of work.  Everything the
 :class:`~repro.obs.events.EventJournal` records while a span is active
-carries the active trace/span IDs, so one journal reconstructs the
-whole distributed request.
+carries the active trace/span IDs, so ``repro events summarize`` can
+group one run's or one job's events.
 
-Propagation is explicit at each process boundary:
+Propagation is explicit at each boundary:
 
 * **threads** — the active context is thread-local; :func:`span` and
   :func:`activate` push/pop on the calling thread only.
-* **HTTP** — :func:`trace_headers` serialises the context into
-  ``X-Repro-Trace-Id`` / ``X-Repro-Span-Id`` request headers;
-  :func:`context_from_headers` recovers it server-side.
+* **the job queue** — a :class:`~repro.service.jobs.Job` records the
+  submitter's ``trace_id``/``parent_span_id``; the worker thread
+  activates them before running the job.
 * **subprocesses** — a :class:`SpanContext` is picklable; pass it to
   the child (worker pool initargs, fork args) and ``activate`` it
   there.
@@ -32,15 +32,10 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Iterator, Optional
 
-__all__ = ["SpanContext", "TRACE_HEADER", "SPAN_HEADER", "activate",
-           "context_from_headers", "current_context", "new_span_id",
-           "new_trace_id", "span", "trace_headers"]
-
-#: HTTP request headers carrying the context across the service boundary
-TRACE_HEADER = "X-Repro-Trace-Id"
-SPAN_HEADER = "X-Repro-Span-Id"
+__all__ = ["SpanContext", "activate", "current_context", "new_span_id",
+           "new_trace_id", "span"]
 
 
 @dataclass(frozen=True)
@@ -83,11 +78,11 @@ def _pop() -> None:
 
 @contextmanager
 def activate(context: Optional[SpanContext]) -> Iterator[None]:
-    """Install a remote context (from headers, a job record, or a parent
-    process) as the calling thread's active context.
+    """Install a remote context (from a job record or a parent process)
+    as the calling thread's active context.
 
-    ``None`` is accepted and is a no-op, so call sites can pass whatever
-    :func:`context_from_headers` returned without branching.
+    ``None`` is accepted and is a no-op, so call sites can pass an
+    optional context without branching.
     """
     if context is None:
         yield
@@ -129,28 +124,3 @@ def span(name: str, **attrs: Any) -> Iterator[SpanContext]:
             name=name, seconds=time.perf_counter() - start,
             status=status, **attrs)
 
-
-def trace_headers(context: Optional[SpanContext] = None) -> Dict[str, str]:
-    """HTTP headers carrying ``context`` (default: the active one).
-
-    Empty when there is nothing to propagate, so the result can be
-    merged into a request's headers unconditionally.
-    """
-    context = context or current_context()
-    if context is None:
-        return {}
-    return {TRACE_HEADER: context.trace_id, SPAN_HEADER: context.span_id}
-
-
-def context_from_headers(headers: Mapping[str, str]
-                         ) -> Optional[SpanContext]:
-    """Recover a :class:`SpanContext` from request headers, or None.
-
-    Accepts any case-insensitive mapping (``http.server`` hands one
-    over); a trace ID without a span ID still yields a context so the
-    trace is not lost to a sloppy client.
-    """
-    trace_id = headers.get(TRACE_HEADER)
-    if not trace_id:
-        return None
-    return SpanContext(trace_id, headers.get(SPAN_HEADER) or new_span_id())

@@ -25,7 +25,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import should_inject
-from ..obs.tracing import span, trace_headers
+from ..obs.tracing import span
 from ..sim.cache import result_from_dict
 from ..sim.parallel import RunSpec
 from ..sim.simulator import SimulationResult
@@ -123,13 +123,9 @@ class ServiceClient:
                  ) -> Dict[str, Any]:
         data = (json.dumps(body).encode("utf-8")
                 if body is not None else None)
-        # the active trace context (if any) rides along as headers, so
-        # server-side spans and job events join the caller's trace
-        all_headers = {"Content-Type": "application/json",
-                       **trace_headers(), **(headers or {})}
         request = urllib.request.Request(
             f"{self.base_url}{path}", data=data, method=method,
-            headers=all_headers)
+            headers={"Content-Type": "application/json", **(headers or {})})
         delay = self.backoff
         for attempt in range(self.retries + 1):
             try:
@@ -243,7 +239,7 @@ class ServiceClient:
 
     # -- ExperimentRunner remote executor ---------------------------------
 
-    def run_specs(self, specs: Sequence[RunSpec], priority: int = 0,
+    def run_specs(self, specs: Sequence[RunSpec],
                   timeout: float = 600.0) -> List[SimulationResult]:
         """Results for a batch of specs, in submission order.
 
@@ -263,7 +259,7 @@ class ServiceClient:
         fields = [{
             "benchmark": spec.benchmark, "policy": spec.policy,
             "tag": spec.tag, "instructions": spec.instructions,
-            "seed": spec.seed, "priority": priority,
+            "seed": spec.seed,
             **({"sample": spec.sample}
                if getattr(spec, "sample", None) else {}),
         } for spec in specs]

@@ -11,8 +11,8 @@ front end and the worker pool:
   fingerprint (the same content hash the disk cache uses) while the
   first is still in flight return the *same* job, so a popular request
   is simulated once no matter how many clients ask for it.
-* **FIFO with priority** — jobs pop in submission order within a
-  priority class; a higher ``priority`` integer pops sooner.
+* **FIFO** — jobs pop in submission order; a job re-queued by a
+  shutdown keeps its original place.
 * **Bounded depth with backpressure** — ``submit`` raises
   :class:`QueueFull` once ``maxsize`` jobs are waiting.  The server
   turns that into a 429 response; nothing is ever dropped silently.
@@ -35,7 +35,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..faults import should_inject
 from ..obs.events import get_journal
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import current_context, new_trace_id
 from ..power.budget import PowerCalibration
 from ..sim.cache import fingerprint
@@ -155,7 +154,6 @@ class Job:
     id: str
     spec: RunSpec
     key: str                                 #: cache fingerprint (dedup key)
-    priority: int = 0
     state: JobState = JobState.QUEUED
     result: Optional[SimulationResult] = None
     error: Optional[str] = None
@@ -175,7 +173,7 @@ class Job:
     trace_id: Optional[str] = None           #: submitter's trace
     parent_span_id: Optional[str] = None     #: submitter's active span
     deadline_at: Optional[float] = None      #: monotonic; None = no deadline
-    _seq: int = 0                            #: FIFO position within priority
+    _seq: int = 0                            #: FIFO position
     _done: threading.Event = field(default_factory=threading.Event,
                                    repr=False)
 
@@ -218,7 +216,6 @@ class Job:
             "seed": self.spec.seed,
             "sample": getattr(self.spec, "sample", None),
             "key": self.key,
-            "priority": self.priority,
             "source": self.source,
             "error": self.error,
             "traceback": self.error_traceback,
@@ -241,7 +238,7 @@ class Job:
 
 
 class JobQueue:
-    """Bounded, deduplicating, priority-FIFO job queue.
+    """Bounded, deduplicating FIFO job queue.
 
     Parameters
     ----------
@@ -250,9 +247,6 @@ class JobQueue:
         raises :class:`QueueFull` beyond it.
     calibration:
         Power calibration folded into each spec's dedup fingerprint.
-    registry:
-        Shared :class:`~repro.obs.metrics.MetricsRegistry` holding the
-        queue's counters (a private one is created when omitted).
     persist:
         Optional :class:`~repro.service.persist.QueueJournal`; every
         accepted submission and terminal transition is recorded so a
@@ -261,16 +255,14 @@ class JobQueue:
 
     def __init__(self, maxsize: int = 64,
                  calibration: Optional[PowerCalibration] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  persist: Optional[QueueJournal] = None) -> None:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self.calibration = calibration or PowerCalibration()
-        self.registry = registry or MetricsRegistry()
         self.persist = persist
         self._cond = threading.Condition()
-        self._heap: List[Tuple[int, int, Job]] = []
+        self._heap: List[Tuple[int, Job]] = []
         self._jobs: Dict[str, Job] = {}
         self._finished: Deque[str] = deque()     # ids, oldest first
         self._inflight: Dict[str, Job] = {}      # fingerprint -> live job
@@ -279,59 +271,14 @@ class JobQueue:
         # monotonic since the queue last hit its depth bound; None while
         # below it — /healthz turns a sustained value into "degraded"
         self._saturated_since: Optional[float] = None
-        # lifecycle counters, registry-backed so /metrics?format=prom
-        # and the JSON view read the same instruments
-        counter = self.registry.counter
-        self._submitted = counter("repro_jobs_submitted_total",
-                                  "jobs accepted as new work")
-        self._deduped = counter("repro_jobs_deduped_total",
-                                "submissions answered by an in-flight job")
-        self._rejected = counter("repro_jobs_rejected_total",
-                                 "submissions refused by backpressure")
-        self._done = counter("repro_jobs_done_total",
-                             "jobs completed successfully")
-        self._failed = counter("repro_jobs_failed_total",
-                               "jobs that ended in failure")
-        self._requeued = counter("repro_jobs_requeued_total",
-                                 "running jobs re-queued by a shutdown")
-        self._restored = counter("repro_jobs_restored_total",
-                                 "jobs re-queued from the persistence "
-                                 "journal at startup")
-        self.registry.gauge("repro_queue_depth",
-                            "jobs waiting to run", fn=lambda: self.depth)
-        self.registry.gauge("repro_queue_saturated_seconds",
-                            "seconds the queue has been at its bound",
-                            fn=lambda: self.saturated_seconds)
-
-    # -- counters (registry-backed, attribute API preserved) --------------
-
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def deduped(self) -> int:
-        return int(self._deduped.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def done(self) -> int:
-        return int(self._done.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def requeued(self) -> int:
-        return int(self._requeued.value)
-
-    @property
-    def restored(self) -> int:
-        return int(self._restored.value)
+        # lifecycle counters; only ever changed under ``_cond``
+        self.submitted = 0       #: jobs accepted as new work
+        self.deduped = 0         #: submissions answered by an in-flight job
+        self.rejected = 0        #: submissions refused by backpressure
+        self.done = 0            #: jobs completed successfully
+        self.failed = 0          #: jobs that ended in failure
+        self.requeued = 0        #: running jobs re-queued by a shutdown
+        self.restored = 0        #: jobs re-queued from the persistence journal
 
     @property
     def closed(self) -> bool:
@@ -342,7 +289,7 @@ class JobQueue:
 
     def _queued_count(self) -> int:
         """Jobs waiting to run; caller holds the lock."""
-        return sum(1 for _p, _s, job in self._heap
+        return sum(1 for _s, job in self._heap
                    if job.state is JobState.QUEUED)
 
     def _note_depth(self, queued: int) -> None:
@@ -363,8 +310,7 @@ class JobQueue:
 
     # -- submission side --------------------------------------------------
 
-    def submit(self, spec: RunSpec, priority: int = 0,
-               key: Optional[str] = None,
+    def submit(self, spec: RunSpec, key: Optional[str] = None,
                deadline_at: Optional[float] = None) -> Tuple[Job, bool]:
         """Accept ``spec``; returns ``(job, created)``.
 
@@ -380,9 +326,10 @@ class JobQueue:
         jobs.  On dedup the live job keeps the *latest* interest: a
         ``None`` deadline (someone waits forever) wins outright.
 
-        The submitter's active trace context (CLI span or propagated
-        HTTP headers) is recorded on the job so worker-side events join
-        the same trace; without one, the job starts its own trace.
+        The submitter's active trace context (a CLI span, or the
+        server's ``http.submit`` span) is recorded on the job so
+        worker-side events join the same trace; without one, the job
+        starts its own trace.
         """
         if key is None:
             key = spec_fingerprint(spec, self.calibration)
@@ -394,7 +341,7 @@ class JobQueue:
                     live.deadline_at = None
                 elif live.deadline_at is not None:
                     live.deadline_at = max(live.deadline_at, deadline_at)
-                self._deduped.inc()
+                self.deduped += 1
                 journal.emit("job.enqueue", trace_id=live.trace_id,
                              deduped=True, **live.event_fields())
                 return live, False
@@ -403,14 +350,14 @@ class JobQueue:
                     "queue is shut down; not accepting new work")
             queued = self._queued_count()
             if queued >= self.maxsize or should_inject("queue.full"):
-                self._rejected.inc()
+                self.rejected += 1
                 self._note_depth(queued)
                 raise QueueFull(
                     f"queue depth limit reached ({self.maxsize} jobs "
                     "waiting); retry after some complete")
             context = current_context()
             job = Job(id=uuid.uuid4().hex[:12], spec=spec, key=key,
-                      priority=priority, submitted_at=time.time(),
+                      submitted_at=time.time(),
                       trace_id=(context.trace_id if context
                                 else new_trace_id()),
                       parent_span_id=(context.span_id if context
@@ -420,21 +367,21 @@ class JobQueue:
             self._jobs[job.id] = job
             self._inflight[key] = job
             self._push(job)
-            self._submitted.inc()
+            self.submitted += 1
             self._note_depth(queued + 1)
             self._cond.notify()
         if self.persist is not None:
             self.persist.record_submit(job)
         journal.emit("job.enqueue", trace_id=job.trace_id,
-                     deduped=False, priority=priority,
-                     instructions=spec.instructions,
+                     deduped=False, instructions=spec.instructions,
                      **job.event_fields())
         return job, True
 
     def restore(self, pending: List[PendingJob]) -> int:
         """Re-queue jobs replayed from the persistence journal.
 
-        Jobs keep their original id, priority, and trace, so a client
+        Jobs keep their original id and trace, and return in submission
+        order, so a client
         that survived the server polls the same URLs and wins.  Invalid
         specs (a profile renamed between lives, say) and duplicates of
         already-restored fingerprints are skipped with a journal event
@@ -466,7 +413,6 @@ class JobQueue:
             deadline_wall = getattr(record, "deadline_wall", None)
             if deadline_wall is not None and now_wall > deadline_wall:
                 job = Job(id=record.id, spec=spec, key=key,
-                          priority=record.priority,
                           submitted_at=now_wall,
                           trace_id=record.trace_id or new_trace_id(),
                           parent_span_id=record.parent_span_id,
@@ -478,7 +424,7 @@ class JobQueue:
                 with self._cond:
                     self._jobs[job.id] = job
                     self._retire(job)
-                    self._failed.inc()
+                    self.failed += 1
                 if self.persist is not None:
                     self.persist.record_fail(job.id)
                 job._done.set()
@@ -498,7 +444,6 @@ class JobQueue:
                                  error=f"duplicate of in-flight {live.id}")
                     continue
                 job = Job(id=record.id, spec=spec, key=key,
-                          priority=record.priority,
                           submitted_at=time.time(),
                           trace_id=record.trace_id or new_trace_id(),
                           parent_span_id=record.parent_span_id,
@@ -507,7 +452,7 @@ class JobQueue:
                 self._jobs[job.id] = job
                 self._inflight[key] = job
                 self._push(job)
-                self._restored.inc()
+                self.restored += 1
                 self._cond.notify()
             count += 1
             journal.emit("job.restore", trace_id=job.trace_id,
@@ -515,10 +460,9 @@ class JobQueue:
         return count
 
     def _push(self, job: Job) -> None:
-        # negative priority: larger ``priority`` pops first; ``_seq``
-        # keeps FIFO order within a class and survives re-queueing so a
-        # re-queued job returns to its original position
-        heapq.heappush(self._heap, (-job.priority, job._seq, job))
+        # ``_seq`` is the submission order and survives re-queueing, so
+        # a re-queued job returns to its original position
+        heapq.heappush(self._heap, (job._seq, job))
 
     # -- worker side ------------------------------------------------------
 
@@ -532,7 +476,7 @@ class JobQueue:
         with self._cond:
             while True:
                 while self._heap:
-                    _p, _s, job = heapq.heappop(self._heap)
+                    _s, job = heapq.heappop(self._heap)
                     if job.state is not JobState.QUEUED:
                         continue             # stale entry (re-queued twice)
                     job.state = JobState.RUNNING
@@ -564,7 +508,7 @@ class JobQueue:
             job.finished_monotonic = time.monotonic()
             self._inflight.pop(job.key, None)
             self._retire(job)
-            self._done.inc()
+            self.done += 1
         # the terminal record lands before waiters wake: anything a
         # client observed finished is finished after a restart too
         if self.persist is not None:
@@ -591,7 +535,7 @@ class JobQueue:
             job.finished_monotonic = time.monotonic()
             self._inflight.pop(job.key, None)
             self._retire(job)
-            self._failed.inc()
+            self.failed += 1
         if self.persist is not None:
             self.persist.record_fail(job.id)
             self._maybe_compact()
@@ -624,7 +568,7 @@ class JobQueue:
             job.started_monotonic = None
             job.requeues += 1
             self._push(job)
-            self._requeued.inc()
+            self.requeued += 1
             self._cond.notify()
         get_journal().emit("job.requeue", trace_id=job.trace_id,
                            requeues=job.requeues, **job.event_fields())
@@ -649,8 +593,7 @@ class JobQueue:
     def depth(self) -> int:
         """Jobs waiting to run (the backpressure measure)."""
         with self._cond:
-            return sum(1 for _p, _s, job in self._heap
-                       if job.state is JobState.QUEUED)
+            return self._queued_count()
 
     @property
     def running(self) -> int:

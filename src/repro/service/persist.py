@@ -48,7 +48,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..sim.parallel import RunSpec
@@ -80,7 +80,6 @@ class PendingJob:
 
     id: str
     spec_fields: Dict[str, Any]
-    priority: int = 0
     trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
     deadline_wall: Optional[float] = None
@@ -110,10 +109,19 @@ class PendingJob:
                 "seed": spec.seed,
                 "sample": getattr(spec, "sample", None),
             },
-            priority=job.priority,
             trace_id=job.trace_id,
             parent_span_id=job.parent_span_id,
             deadline_wall=deadline_wall)
+
+
+def _submit_record(pending: PendingJob) -> Dict[str, Any]:
+    """The journal's ``submit`` record for one outstanding job."""
+    return {
+        "op": "submit", "id": pending.id, "trace_id": pending.trace_id,
+        "parent_span_id": pending.parent_span_id,
+        "deadline_wall": pending.deadline_wall,
+        "spec": pending.spec_fields,
+    }
 
 
 class QueueJournal:
@@ -142,14 +150,7 @@ class QueueJournal:
                 self.dropped += 1
 
     def record_submit(self, job: Any) -> None:
-        pending = PendingJob.from_job(job)
-        self._append({
-            "op": "submit", "id": pending.id,
-            "priority": pending.priority, "trace_id": pending.trace_id,
-            "parent_span_id": pending.parent_span_id,
-            "deadline_wall": pending.deadline_wall,
-            "spec": pending.spec_fields,
-        })
+        self._append(_submit_record(PendingJob.from_job(job)))
 
     def record_done(self, job_id: str) -> None:
         self._append({"op": "done", "id": job_id})
@@ -214,9 +215,10 @@ class QueueJournal:
                         deadline_wall = record.get("deadline_wall")
                         if not isinstance(deadline_wall, (int, float)):
                             deadline_wall = None
+                        # fields this version does not read (older
+                        # records carry a queue-order one) are ignored
                         pending[job_id] = PendingJob(
                             id=job_id, spec_fields=spec,
-                            priority=int(record.get("priority") or 0),
                             trace_id=record.get("trace_id"),
                             parent_span_id=record.get("parent_span_id"),
                             deadline_wall=deadline_wall)
@@ -237,14 +239,9 @@ class QueueJournal:
                 prefix=".queue-", suffix=".tmp", dir=parent)
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 for job in pending:
-                    handle.write(json.dumps({
-                        "v": PERSIST_VERSION, "op": "submit",
-                        "id": job.id, "priority": job.priority,
-                        "trace_id": job.trace_id,
-                        "parent_span_id": job.parent_span_id,
-                        "deadline_wall": job.deadline_wall,
-                        "spec": job.spec_fields,
-                    }, sort_keys=True, separators=(",", ":")) + "\n")
+                    record = dict(_submit_record(job), v=PERSIST_VERSION)
+                    handle.write(json.dumps(record, sort_keys=True,
+                                            separators=(",", ":")) + "\n")
             os.replace(tmp_path, self.path)
             with self._lock:
                 self._since_compact = 0

@@ -7,19 +7,20 @@ disk-backed :class:`~repro.sim.runner.ExperimentRunner`;
 ========================  ==================================================
 ``POST /v1/runs``         submit one spec or a ``{"runs": [...]}`` batch;
                           202 with job records, 429 when the queue is full,
-                          400 on an invalid spec
+                          400 on an invalid spec or a field outside
+                          :data:`RUN_FIELDS`
 ``GET /v1/runs/<id>``     job status
-``GET /v1/runs/<id>/result``  block (``?timeout=`` seconds) for the result
+``GET /v1/runs/<id>/result``  block (``?timeout=`` seconds, default 60,
+                          negatives count as 0) for the result; 400 on a
+                          non-numeric or non-finite ``timeout``
 ``POST /v1/drain``        stop accepting new work; in-flight and queued
                           jobs still complete and their results stay
                           fetchable (graceful drain before shutdown)
 ``GET /healthz``          liveness + queue/worker summary; 503 once the
                           service is degraded (dead workers, sustained
                           queue saturation)
-``GET /metrics``          queue depth, done/failed counts, cache hit
-                          ratio, p50/p95 job wall-clock;
-                          ``?format=prom`` renders the same registry as
-                          Prometheus text exposition
+``GET /metrics``          JSON: queue depth, done/failed counts, cache
+                          hit ratio, p50/p95 job wall-clock
 ========================  ==================================================
 
 Everything is standard library (``http.server``); the threading server
@@ -30,6 +31,7 @@ starve status polls.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -38,28 +40,46 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..faults import get_plan
 from ..obs.events import get_journal
-from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import activate, context_from_headers, span
+from ..obs.tracing import span
 from ..power.budget import PowerCalibration
 from ..sim.cache import ResultCache, result_to_dict
 from ..sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from ..sim.parallel import RunSpec
 from ..sim.runner import ExperimentRunner
 from .client import DEADLINE_HEADER
-from .jobs import (Job, JobQueue, QueueClosed, QueueFull, integer_field,
-                   make_spec)
+from .jobs import Job, JobQueue, QueueClosed, QueueFull, make_spec
 from .persist import (QUEUE_JOURNAL_FILENAME, STATE_DIR_ENV_VAR,
                       QueueJournal)
 from .workers import WorkerPool
 
-__all__ = ["ServiceServer", "SimulationService", "serve"]
+__all__ = ["RUN_FIELDS", "ServiceServer", "SimulationService",
+           "parse_wait_timeout", "serve"]
 
 #: default TCP port for ``repro serve`` / ``repro submit``
 DEFAULT_PORT = 8765
 
 _RUN_PATH = re.compile(r"^/v1/runs/(?P<id>[0-9a-f]+)(?P<result>/result)?$")
+
+#: the keys a ``POST /v1/runs`` run object may carry; any other is a 400
+RUN_FIELDS = ("benchmark", "policy", "tag", "instructions", "seed", "sample")
+
+
+def parse_wait_timeout(raw: str) -> float:
+    """Seconds a result request may block, from its ``?timeout=`` value.
+
+    Raises ``ValueError`` unless ``raw`` is a finite number.  A negative
+    value means "don't wait" and becomes 0; a huge one is capped at
+    ``threading.TIMEOUT_MAX``, past which ``Event.wait`` overflows.
+    """
+    try:
+        seconds = float(raw)
+    except ValueError:
+        raise ValueError(f"timeout must be a number of seconds, "
+                         f"got {raw!r}") from None
+    if not math.isfinite(seconds):
+        raise ValueError(f"timeout must be finite, got {raw!r}")
+    return min(max(0.0, seconds), threading.TIMEOUT_MAX)
 
 
 class SimulationService:
@@ -71,11 +91,6 @@ class SimulationService:
     instruction budget / calibration / disk-cache knobs.
     ``degraded_after`` is how many seconds the queue may sit pinned at
     its depth bound before ``/healthz`` reports degraded.
-
-    One :class:`~repro.obs.metrics.MetricsRegistry` is shared by the
-    queue, the pool, and the service's own gauges; ``/metrics`` renders
-    it as the original JSON dict and ``/metrics?format=prom`` as
-    Prometheus text.
     """
 
     def __init__(self, instructions: Optional[int] = None,
@@ -87,7 +102,6 @@ class SimulationService:
                  degraded_after: float = 30.0,
                  state_dir: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None) -> None:
-        self.registry = MetricsRegistry()
         self.runner = ExperimentRunner(instructions=instructions,
                                        calibration=calibration, cache=cache)
         if state_dir is None:
@@ -115,31 +129,18 @@ class SimulationService:
             persist.compact(pending)
         self.queue = JobQueue(maxsize=queue_depth,
                               calibration=self.runner.calibration,
-                              registry=self.registry,
                               persist=persist)
         if pending:
             restored = self.queue.restore(pending)
             get_journal().emit("service.restore", restored=restored,
                                replayed=len(pending))
         self.pool = WorkerPool(self.queue, self.runner, workers=workers,
-                               timeout=timeout, compute=compute,
-                               registry=self.registry)
-        # injected-fault counts scrape alongside everything else
-        get_plan().bind(self.registry)
+                               timeout=timeout, compute=compute)
         self.degraded_after = degraded_after
         # wall-clock is display-only; uptime (and any rate derived from
         # it) anchors on the monotonic clock so an NTP step can't skew it
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
-        self.registry.gauge("repro_service_uptime_seconds",
-                            "seconds since the service started",
-                            fn=lambda: self.uptime_seconds)
-        self.registry.gauge("repro_service_workers",
-                            "configured worker threads",
-                            fn=lambda: self.pool.workers)
-        self.registry.gauge("repro_jobs_running",
-                            "jobs currently being computed",
-                            fn=lambda: self.queue.running)
 
     @property
     def uptime_seconds(self) -> float:
@@ -158,14 +159,19 @@ class SimulationService:
 
     # -- request handling -------------------------------------------------
 
-    def parse_run(self, fields: Any) -> Tuple[RunSpec, int]:
-        """Validated ``(spec, priority)`` from one loose request dict.
+    def parse_run(self, fields: Any) -> RunSpec:
+        """Validated spec from one loose request dict.
 
         Raises ``ValueError`` on a missing, unknown or wrongly typed
         field, so a batch can be checked whole before any of it queues.
         """
         if not isinstance(fields, dict):
             raise ValueError(f"each run must be a JSON object, got {fields!r}")
+        unknown = [key for key in fields if key not in RUN_FIELDS]
+        if unknown:
+            raise ValueError(
+                f"unknown field(s) {', '.join(map(repr, unknown))}; "
+                f"a run takes {', '.join(RUN_FIELDS)}")
         instructions = fields.get("instructions")
         try:
             spec = make_spec(
@@ -178,7 +184,7 @@ class SimulationService:
                 sample=fields.get("sample"))
         except KeyError as exc:
             raise ValueError(f"missing or unknown field: {exc}") from None
-        return spec, integer_field("priority", fields.get("priority", 0))
+        return spec
 
     def submit(self, fields: Dict[str, Any],
                deadline_at: Optional[float] = None) -> Tuple[Job, bool]:
@@ -188,8 +194,7 @@ class SimulationService:
         :class:`~repro.service.jobs.QueueFull` under backpressure, and
         :class:`~repro.service.jobs.QueueClosed` once draining.
         """
-        spec, priority = self.parse_run(fields)
-        return self.queue.submit(spec, priority=priority,
+        return self.queue.submit(self.parse_run(fields),
                                  deadline_at=deadline_at)
 
     def drain(self) -> Dict[str, Any]:
@@ -225,10 +230,6 @@ class SimulationService:
         data.update(self.queue.counters())
         data.update(self.pool.metrics())
         return data
-
-    def prom_metrics(self) -> str:
-        """Prometheus text exposition of the shared registry."""
-        return self.registry.render_prom()
 
     def health(self) -> Dict[str, Any]:
         """Liveness summary; ``status`` is ``"ok"`` or ``"degraded"``.
@@ -285,15 +286,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, body: str,
-                   content_type: str = "text/plain; version=0.0.4") -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
     def _read_json(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
         raw = self.rfile.read(length) if length else b""
@@ -342,17 +334,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if not isinstance(requests, list):
                 raise ValueError("runs must be a JSON list")
-            # the client's trace context (X-Repro-Trace-Id headers)
-            # becomes the active context, so the accepted jobs — and
-            # every worker-side event about them — join its trace
-            with activate(context_from_headers(self.headers)):
-                with span("http.submit", runs=len(requests)):
-                    # validate the whole batch first: a 400 queues nothing
-                    runs = [service.parse_run(fields) for fields in requests]
-                    for spec, priority in runs:
-                        jobs.append(service.queue.submit(
-                            spec, priority=priority,
-                            deadline_at=deadline_at))
+            # the batch's span roots a trace of its own; the accepted
+            # jobs record it, so every worker-side event joins it
+            with span("http.submit", runs=len(requests)):
+                # validate the whole batch first: a 400 queues nothing
+                specs = [service.parse_run(fields) for fields in requests]
+                for spec in specs:
+                    jobs.append(service.queue.submit(
+                        spec, deadline_at=deadline_at))
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return
@@ -391,11 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200 if health["status"] == "ok" else 503, health)
             return
         if parsed.path == "/metrics":
-            query = parse_qs(parsed.query)
-            if query.get("format", [""])[0] == "prom":
-                self._send_text(200, service.prom_metrics())
-            else:
-                self._send(200, service.metrics())
+            self._send(200, service.metrics())
             return
         match = _RUN_PATH.match(parsed.path)
         if match is None:
@@ -408,8 +393,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not match.group("result"):
             self._send(200, job.to_dict())
             return
-        query = parse_qs(parsed.query)
-        timeout = float(query.get("timeout", ["60"])[0])
+        try:
+            timeout = parse_wait_timeout(
+                parse_qs(parsed.query).get("timeout", ["60"])[0])
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
+            return
         if not job.wait(timeout=timeout):
             self._send(504, {"error": "timed out waiting for the result",
                              "job": job.to_dict()})

@@ -14,10 +14,11 @@ survives Ctrl-C as either a result or a queued entry — never a loss.
 
 Observability: each job runs inside a ``job.run`` span on the
 *submitter's* trace (the job record carries the trace/span IDs across
-the queue), the child process inherits that context over the fork, and
-every counter/latency figure lives in the shared
-:class:`~repro.obs.metrics.MetricsRegistry` — the durations deque this
-module once grew without bound is now a bounded-reservoir histogram.
+the queue), and the child process inherits that context over the
+fork.  The pool's counters are plain integers under one lock, and job
+latencies go to a bounded-reservoir
+:class:`~repro.obs.metrics.Histogram`, so a long-lived server's
+``/metrics`` stays O(1) in memory.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..faults import should_inject
 from ..obs.events import get_journal
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram
 from ..obs.tracing import (SpanContext, activate, current_context,
                            new_span_id, new_trace_id, span)
 from ..sim.cache import result_from_dict, result_to_dict
@@ -189,17 +190,12 @@ class WorkerPool:
         (tests inject crashes/blocks here).  May raise
         :class:`WorkerCrash` (retried once), :class:`JobTimeout`
         (failed), or :class:`ShutdownRequested` (re-queued).
-    registry:
-        :class:`~repro.obs.metrics.MetricsRegistry` for the pool's
-        instruments; defaults to the queue's registry so the service
-        scrapes one coherent set.
     """
 
     def __init__(self, queue: JobQueue, runner: ExperimentRunner,
                  workers: int = 2, timeout: Optional[float] = None,
                  compute: Optional[Callable[[RunSpec], SimulationResult]]
-                 = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                 = None) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.queue = queue
@@ -210,89 +206,37 @@ class WorkerPool:
         self._runner_lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
-        self.registry = registry if registry is not None else queue.registry
-        self._sims = self.registry.counter(
-            "repro_sims_total", "simulations actually executed")
-        self._cache_hits = self.registry.counter(
-            "repro_cache_hits_total", "jobs answered from a cache layer",
-            labelnames=("layer",))
-        self._retries = self.registry.counter(
-            "repro_worker_retries_total", "compute retries after a crash")
-        self._timeouts = self.registry.counter(
-            "repro_worker_timeouts_total", "jobs killed by the per-job "
-            "timeout")
-        self._crashes = self.registry.counter(
-            "repro_worker_crashes_total", "compute crashes observed "
-            "(each triggers at most one retry)")
-        self._expired = self.registry.counter(
-            "repro_jobs_expired_total", "jobs skipped because every "
-            "client's deadline had passed")
         # env-rooted (REPRO_CHECKPOINT_DIR); disabled when unset, in
         # which case every peek below is a cheap None
         self.checkpoints = CheckpointStore()
-        self._resumes = self.registry.counter(
-            "repro_jobs_resumed_total", "jobs that resumed a simulation "
-            "from a mid-run checkpoint")
-        # bounded reservoir replaces the old grow-forever deque; p50/p95
-        # stay available at O(1) memory over the server's whole lifetime
-        self._job_seconds = self.registry.histogram(
-            "repro_job_seconds", "wall-clock of actual simulations",
-            quantiles=(0.5, 0.95))
+        # counters, bumped by every worker thread under ``_count_lock``
+        self._count_lock = threading.Lock()
+        self.simulated = 0       #: simulations actually executed
+        self.retries = 0         #: compute retries after a crash
+        self.timeouts = 0        #: jobs killed by the per-job timeout
+        self.crashes = 0         #: crashes observed (each retried once)
+        self.expired = 0         #: jobs skipped: every deadline passed
+        self.resumed = 0         #: jobs resumed from a mid-run checkpoint
+        self._hits = {"memory": 0, "disk": 0}
         # per-run throughput aggregates (actual simulations only, cache
         # hits excluded) — the service's /metrics perf trajectory
-        self._sim_seconds = self.registry.counter(
-            "repro_sim_seconds_total", "seconds spent simulating")
-        self._sim_instructions = self.registry.counter(
-            "repro_sim_instructions_total", "instructions simulated")
-        self._sim_cycles = self.registry.counter(
-            "repro_sim_cycles_total", "cycles simulated")
-        self.registry.gauge("repro_workers_alive",
-                            "live worker threads",
-                            fn=lambda: self.alive_workers)
+        self.sim_seconds_total = 0.0
+        self.sim_instructions_total = 0
+        self.sim_cycles_total = 0
+        # a bounded reservoir keeps p50/p95 at O(1) memory over the
+        # server's whole lifetime
+        self._job_seconds = Histogram("repro_job_seconds")
 
-    # -- counters (registry-backed, attribute API preserved) --------------
-
-    @property
-    def simulated(self) -> int:
-        return int(self._sims.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._timeouts.value)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._crashes.value)
-
-    @property
-    def expired(self) -> int:
-        return int(self._expired.value)
-
-    @property
-    def resumed(self) -> int:
-        return int(self._resumes.value)
+    def _count(self, name: str) -> None:
+        """Add one to counter attribute ``name``, thread-safely."""
+        with self._count_lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     @property
     def hits(self) -> Dict[str, int]:
         """Cache-hit counts by layer (a snapshot view, not live state)."""
-        return {"memory": int(self._cache_hits.child_value(layer="memory")),
-                "disk": int(self._cache_hits.child_value(layer="disk"))}
-
-    @property
-    def sim_seconds_total(self) -> float:
-        return self._sim_seconds.value
-
-    @property
-    def sim_instructions_total(self) -> int:
-        return int(self._sim_instructions.value)
-
-    @property
-    def sim_cycles_total(self) -> int:
-        return int(self._sim_cycles.value)
+        with self._count_lock:
+            return dict(self._hits)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -360,14 +304,15 @@ class WorkerPool:
             cached = self.runner.cached(spec)
         if cached is not None:
             result, source = cached
-            self._cache_hits.labels(layer=source).inc()
+            with self._count_lock:
+                self._hits[source] += 1
             self.queue.complete(job, result, source)
             return
         if job.expired:
             # nobody is waiting any more, and the answer isn't cached —
             # burning a worker on it would only starve live requests
             overdue = time.monotonic() - job.deadline_at
-            self._expired.inc()
+            self._count("expired")
             get_journal().emit("job.expired", trace_id=job.trace_id,
                                overdue_seconds=overdue,
                                **job.event_fields())
@@ -384,7 +329,7 @@ class WorkerPool:
             snapshot = self.checkpoints.peek(key)
             if snapshot is not None:
                 job.resumed_from_checkpoint = True
-                self._resumes.inc()
+                self._count("resumed")
                 get_journal().emit("job.resume_from_checkpoint",
                                    trace_id=job.trace_id,
                                    progress=snapshot,
@@ -409,7 +354,7 @@ class WorkerPool:
             self.queue.requeue(job)
             return
         except JobTimeout as exc:
-            self._timeouts.inc()
+            self._count("timeouts")
             get_journal().emit("job.timeout", trace_id=job.trace_id,
                                error=str(exc), **job.event_fields())
             self.queue.fail(job, str(exc))
@@ -423,21 +368,22 @@ class WorkerPool:
             self.runner.memoise_spec(spec, result)
         elapsed = time.perf_counter() - start
         self._job_seconds.observe(elapsed)
-        self._sims.inc()
-        self._sim_seconds.inc(elapsed)
-        self._sim_instructions.inc(result.instructions)
-        self._sim_cycles.inc(result.cycles)
+        with self._count_lock:
+            self.simulated += 1
+            self.sim_seconds_total += elapsed
+            self.sim_instructions_total += result.instructions
+            self.sim_cycles_total += result.cycles
         self.queue.complete(job, result, "run")
 
     def _note_crash(self, job: Job, crash: WorkerCrash) -> None:
         """Count and journal one observed crash (first *and* retry).
 
         The retry's crash used to escape to the generic failure handler
-        uncounted, so ``repro_worker_crashes_total`` read 1 for a job
-        that crashed twice and the final crash left no ``worker.crash``
+        uncounted, so the ``crashes`` counter read 1 for a job that
+        crashed twice and the final crash left no ``worker.crash``
         event — the journal showed a retry into thin air.
         """
-        self._crashes.inc()
+        self._count("crashes")
         get_journal().emit("worker.crash", trace_id=job.trace_id,
                            attempt=job.attempts, error=str(crash),
                            traceback=crash.child_traceback,
@@ -455,7 +401,7 @@ class WorkerPool:
             if self._stop.is_set():
                 raise ShutdownRequested("pool stopping") from crash
             self._note_crash(job, crash)
-            self._retries.inc()
+            self._count("retries")
             job.attempts += 1
             get_journal().emit("job.retry", trace_id=job.trace_id,
                                attempt=job.attempts, **job.event_fields())
@@ -480,11 +426,7 @@ class WorkerPool:
     # -- metrics ----------------------------------------------------------
 
     def metrics(self) -> Dict[str, float]:
-        """Hit/latency numbers for the JSON ``/metrics`` view.
-
-        Key names are the service's original wire format; the values
-        now come from the shared registry instruments.
-        """
+        """Hit/latency numbers for the JSON ``/metrics`` view."""
         hits = self.hits
         hit_count = hits["memory"] + hits["disk"]
         simulated = self.simulated

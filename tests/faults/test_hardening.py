@@ -230,7 +230,7 @@ def test_collect_result_resubmits_after_404(tmp_path):
     try:
         client = ServiceClient(server.url)
         field = {"benchmark": "gzip", "policy": "dcg", "tag": "baseline",
-                 "instructions": INSTRUCTIONS, "seed": 1, "priority": 0}
+                 "instructions": INSTRUCTIONS, "seed": 1}
         deadline = time.monotonic() + 120
         result = client._collect_result("feedfacecafe", field, deadline)
         assert result.benchmark == "gzip"

@@ -28,7 +28,7 @@ def _spec(benchmark="gzip", policy="dcg") -> RunSpec:
 
 def test_journal_roundtrip(tmp_path):
     queue = _queue(tmp_path)
-    first, _ = queue.submit(_spec("gzip"), priority=2)
+    first, _ = queue.submit(_spec("gzip"))
     second, _ = queue.submit(_spec("mcf"))
     third, _ = queue.submit(_spec("gcc"))
     job = queue.take(timeout=1)
@@ -38,7 +38,7 @@ def test_journal_roundtrip(tmp_path):
     assert pending[0].to_spec() == second.spec
     restored_first = _journal(tmp_path).load()[0]
     assert restored_first.spec_fields["benchmark"] == "mcf"
-    assert restored_first.priority == 0
+    assert restored_first.trace_id == second.trace_id
 
 
 def test_journal_tolerates_torn_and_corrupt_lines(tmp_path):
@@ -87,9 +87,9 @@ def test_recording_never_raises_on_io_failure(tmp_path):
 
 # -- JobQueue.restore -------------------------------------------------------
 
-def test_restore_preserves_ids_and_priority(tmp_path):
+def test_restore_preserves_ids_trace_and_order(tmp_path):
     queue = _queue(tmp_path)
-    first, _ = queue.submit(_spec("gzip"), priority=5)
+    first, _ = queue.submit(_spec("gzip"))
     second, _ = queue.submit(_spec("mcf"))
     pending = _journal(tmp_path).load()
 
@@ -99,11 +99,39 @@ def test_restore_preserves_ids_and_priority(tmp_path):
     assert fresh.submitted == 0         # restored != newly submitted
     restored = fresh.get(first.id)
     assert restored is not None
-    assert restored.priority == 5
     assert restored.trace_id == first.trace_id
-    # priority survives into pop order too
+    # submission order survives into pop order
     assert fresh.take(timeout=1).id == first.id
     assert fresh.take(timeout=1).id == second.id
+
+
+def test_restore_reads_records_that_carry_a_priority(tmp_path):
+    """Journals written while the queue still had priorities carry a
+    ``priority`` on each submit record; they restore as plain FIFO, in
+    submission order, with their ids and traces intact."""
+    journal = _journal(tmp_path)
+    records = [
+        {"v": 1, "op": "submit", "id": "0000000000a1", "priority": 0,
+         "trace_id": "a" * 32, "parent_span_id": "b" * 16,
+         "deadline_wall": None,
+         "spec": {"tag": "baseline", "benchmark": "gzip", "policy": "dcg",
+                  "instructions": INSTRUCTIONS, "seed": 1, "sample": None}},
+        {"v": 1, "op": "submit", "id": "0000000000a2", "priority": 9,
+         "trace_id": "c" * 32, "parent_span_id": None,
+         "deadline_wall": None,
+         "spec": {"tag": "baseline", "benchmark": "mcf", "policy": "dcg",
+                  "instructions": INSTRUCTIONS, "seed": 2, "sample": None}},
+    ]
+    with open(journal.path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+    fresh = JobQueue(maxsize=16)
+    assert fresh.restore(journal.load()) == 2
+    first, second = fresh.take(timeout=1), fresh.take(timeout=1)
+    assert (first.id, first.trace_id) == ("0000000000a1", "a" * 32)
+    assert first.parent_span_id == "b" * 16
+    assert (second.id, second.trace_id) == ("0000000000a2", "c" * 32)
 
 
 def test_restore_skips_invalid_and_duplicate_records(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from repro.faults import (FAULTS_ENV_VAR, FaultPlan, FaultRule,
                           configure_faults, corrupt_file, fault_active,
                           get_plan, parse_spec, should_inject)
-from repro.obs.metrics import MetricsRegistry
 
 
 # -- parsing ----------------------------------------------------------------
@@ -129,28 +128,18 @@ def test_configure_empty_string_disables_outright(monkeypatch):
 
 # -- observability ----------------------------------------------------------
 
-def test_injections_emit_events_and_count_in_registry(tmp_path):
+def test_injections_emit_events_and_count(tmp_path):
     from repro.obs.events import configure_journal, read_events
     journal_path = str(tmp_path / "events.jsonl")
     configure_journal(path=journal_path)
-    registry = MetricsRegistry()
     plan = configure_faults("queue.full:nth=2")
-    plan.bind(registry)
     for _ in range(4):
         should_inject("queue.full")
-    counter = registry.get("repro_faults_injected_total")
-    assert counter.child_value(site="queue.full") == 2
+    assert plan.counts() == {"queue.full": {"arrivals": 4, "injected": 2}}
     events = [event for event in read_events(journal_path)
               if event["kind"] == "fault.inject"]
     assert [event["arrival"] for event in events] == [2, 4]
     assert all(event["site"] == "queue.full" for event in events)
-
-
-def test_bind_precreates_children_for_idle_sites():
-    registry = MetricsRegistry()
-    parse_spec("worker.crash:p=0.5,seed=1").bind(registry)
-    prom = registry.render_prom()
-    assert 'repro_faults_injected_total{site="worker.crash"} 0' in prom
 
 
 def test_corrupt_file_scribbles_invalid_json(tmp_path):

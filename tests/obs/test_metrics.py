@@ -1,54 +1,10 @@
-"""Metrics registry: instruments, bounded reservoir, prom rendering."""
+"""Bounded-reservoir histogram behind the service's latency percentiles."""
 
-import math
-
-import pytest
-
-from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
-                       validate_prom_text)
-
-
-def test_counter_basics():
-    counter = Counter("repro_things_total", "things")
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    assert counter.snapshot() == {"repro_things_total": 3.5}
-
-
-def test_labelled_counter():
-    counter = Counter("repro_hits_total", "hits", labelnames=("layer",))
-    counter.labels(layer="memory").inc()
-    counter.labels(layer="memory").inc()
-    counter.labels(layer="disk").inc()
-    assert counter.child_value(layer="memory") == 2
-    assert counter.child_value(layer="disk") == 1
-    assert counter.value == 3                    # sum over children
-    assert counter.snapshot() == {"repro_hits_total_disk": 1.0,
-                                  "repro_hits_total_memory": 2.0}
-    with pytest.raises(ValueError):
-        counter.inc()                            # labelled: must use labels()
-    with pytest.raises(ValueError):
-        counter.labels(wrong="x")
-
-
-def test_gauge_set_and_callback():
-    gauge = Gauge("repro_depth", "depth")
-    gauge.set(7)
-    assert gauge.value == 7.0
-    live = Gauge("repro_live", "live", fn=lambda: 42)
-    assert live.value == 42.0
-    with pytest.raises(ValueError):
-        live.set(1)
-    broken = Gauge("repro_broken", "broken",
-                   fn=lambda: 1 / 0)
-    assert math.isnan(broken.value)              # scrape never raises
+from repro.obs import Histogram
 
 
 def test_histogram_reservoir_is_bounded():
-    hist = Histogram("repro_seconds", "seconds", reservoir_size=64)
+    hist = Histogram("repro_seconds", reservoir_size=64)
     for value in range(10_000):
         hist.observe(float(value))
     assert hist.count == 10_000                  # exact
@@ -61,59 +17,11 @@ def test_histogram_reservoir_is_bounded():
 
 
 def test_histogram_percentiles_exact_below_reservoir():
-    hist = Histogram("repro_small", "small", reservoir_size=512)
+    hist = Histogram("repro_small", reservoir_size=512)
     for value in (1.0, 2.0, 3.0, 4.0):
         hist.observe(value)
     assert hist.percentile(0.0) == 1.0
     assert hist.percentile(1.0) == 4.0
     assert hist.percentile(0.5) == 3.0           # nearest rank, round(1.5)=2
-    assert Histogram("repro_empty", "e").percentile(0.5) == 0.0
+    assert Histogram("repro_empty").percentile(0.5) == 0.0
 
-
-def test_registry_idempotent_and_kind_checked():
-    registry = MetricsRegistry()
-    first = registry.counter("repro_jobs_total", "jobs")
-    again = registry.counter("repro_jobs_total", "jobs")
-    assert first is again
-    with pytest.raises(ValueError):
-        registry.gauge("repro_jobs_total")
-    with pytest.raises(ValueError):
-        registry.counter("bad name!")
-
-
-def test_registry_snapshot_and_prom_render():
-    registry = MetricsRegistry()
-    registry.counter("repro_jobs_total", "jobs done").inc(3)
-    registry.gauge("repro_depth", "queue depth").set(2)
-    hits = registry.counter("repro_hits_total", "hits by layer",
-                            labelnames=("layer",))
-    hits.labels(layer="memory").inc()
-    hist = registry.histogram("repro_seconds", "latency")
-    hist.observe(0.5)
-    snap = registry.snapshot()
-    assert snap["repro_jobs_total"] == 3.0
-    assert snap["repro_depth"] == 2.0
-    assert snap["repro_hits_total_memory"] == 1.0
-    assert snap["repro_seconds_count"] == 1.0
-    text = registry.render_prom()
-    assert "# TYPE repro_jobs_total counter" in text
-    assert "# HELP repro_depth queue depth" in text
-    assert 'repro_hits_total{layer="memory"} 1' in text
-    assert 'repro_seconds{quantile="0.5"} 0.5' in text
-    assert "repro_seconds_count 1" in text
-    assert validate_prom_text(text) == []
-
-
-def test_prom_linter_catches_malformations():
-    assert validate_prom_text("") == []
-    assert validate_prom_text("good_metric 1\n") == []
-    problems = validate_prom_text("0bad_name 1\n")
-    assert problems and "malformed sample" in problems[0]
-    problems = validate_prom_text("# TYPE x flavour\n")
-    assert problems and "invalid TYPE" in problems[0]
-    problems = validate_prom_text("x 1\n# TYPE x counter\n")
-    assert problems and "after its samples" in problems[0]
-    problems = validate_prom_text('x{bad-label="1"} 1\n')
-    assert problems
-    problems = validate_prom_text("x 1 2 3\n")
-    assert problems

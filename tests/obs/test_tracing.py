@@ -1,4 +1,4 @@
-"""Span tracing: nesting, thread-local isolation, header propagation."""
+"""Span tracing: nesting, thread-local isolation, context hand-off."""
 
 import io
 import json
@@ -6,9 +6,8 @@ import threading
 
 import pytest
 
-from repro.obs import (SPAN_HEADER, SpanContext, TRACE_HEADER, activate,
-                       configure_journal, context_from_headers,
-                       current_context, span, trace_headers)
+from repro.obs import (SpanContext, activate, configure_journal,
+                       current_context, span)
 
 
 def _events(sink: io.StringIO):
@@ -17,7 +16,6 @@ def _events(sink: io.StringIO):
 
 def test_no_context_outside_spans():
     assert current_context() is None
-    assert trace_headers() == {}
 
 
 def test_span_nesting_shares_trace_and_links_parents():
@@ -59,23 +57,6 @@ def test_activate_installs_remote_context():
 def test_activate_none_is_noop():
     with activate(None):
         assert current_context() is None
-
-
-def test_headers_roundtrip():
-    with span("request") as context:
-        headers = trace_headers()
-    assert headers == {TRACE_HEADER: context.trace_id,
-                       SPAN_HEADER: context.span_id}
-    recovered = context_from_headers(headers)
-    assert recovered == context
-
-
-def test_context_from_headers_tolerates_missing_span():
-    recovered = context_from_headers({TRACE_HEADER: "a" * 32})
-    assert recovered is not None
-    assert recovered.trace_id == "a" * 32
-    assert len(recovered.span_id) == 16
-    assert context_from_headers({}) is None
 
 
 def test_context_is_thread_local():

@@ -1,4 +1,4 @@
-"""Job queue: dedup, priority-FIFO ordering, backpressure, lifecycle."""
+"""Job queue: dedup, FIFO ordering, backpressure, lifecycle."""
 
 import threading
 
@@ -84,20 +84,12 @@ def test_dedup_stops_once_job_finishes():
 
 # -- ordering ---------------------------------------------------------------
 
-def test_fifo_within_priority_class():
+def test_jobs_pop_in_submission_order():
     queue = JobQueue(maxsize=8)
     first, _ = queue.submit(_spec(policy="base"))
     second, _ = queue.submit(_spec(policy="dcg"))
     assert queue.take(timeout=1) is first
     assert queue.take(timeout=1) is second
-
-
-def test_higher_priority_pops_first():
-    queue = JobQueue(maxsize=8)
-    normal, _ = queue.submit(_spec(policy="base"))
-    urgent, _ = queue.submit(_spec(policy="dcg"), priority=10)
-    assert queue.take(timeout=1) is urgent
-    assert queue.take(timeout=1) is normal
 
 
 def test_requeue_keeps_original_position():
@@ -203,23 +195,19 @@ def test_close_wakes_blocked_take():
 
 def test_get_and_to_dict():
     queue = JobQueue(maxsize=2)
-    job, _ = queue.submit(_spec(), priority=3)
+    job, _ = queue.submit(_spec())
     assert queue.get(job.id) is job
     assert queue.get("nope") is None
     data = job.to_dict()
     assert data["state"] == "queued"
     assert data["benchmark"] == "gzip"
-    assert data["priority"] == 3
     assert data["key"] == job.key
 
 
 # -- finished-job bound -----------------------------------------------------
 
-def _finish(queue, outcome):
-    """Submit, take and finish one fresh job; returns it.  Its raised
-    priority pops it ahead of any job left waiting."""
-    job, created = queue.submit(_spec(), priority=1)
-    assert created
+def _finish(queue, job, outcome):
+    """Take ``job``, the oldest waiting, and finish it; returns it."""
     assert queue.take(timeout=1) is job
     if outcome == "done":
         queue.complete(job, _fake_result())
@@ -231,7 +219,7 @@ def _finish(queue, outcome):
 def test_only_newest_finished_jobs_are_kept(monkeypatch):
     monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 2)
     queue = JobQueue(maxsize=4)
-    finished = [_finish(queue, outcome)
+    finished = [_finish(queue, queue.submit(_spec())[0], outcome)
                 for outcome in ("done", "fail", "done", "fail")]
     assert [queue.get(job.id) for job in finished] == \
         [None, None, finished[2], finished[3]]
@@ -243,8 +231,10 @@ def test_live_jobs_are_never_evicted(monkeypatch):
     queue = JobQueue(maxsize=4)
     running, _ = queue.submit(_spec(benchmark="mcf"))
     assert queue.take(timeout=1) is running
+    waiting = [queue.submit(_spec(instructions=600 + i))[0]
+               for i in range(3)]
     queued, _ = queue.submit(_spec(benchmark="applu"))
-    finished = [_finish(queue, "done") for _ in range(3)]
+    finished = [_finish(queue, job, "done") for job in waiting]
     assert queue.get(running.id) is running
     assert queue.get(queued.id) is queued
     assert queue.get(finished[-1].id) is finished[-1]

@@ -155,7 +155,9 @@ def test_bad_requests_are_400(service_url, capsys):
             ("POST", "/v1/runs", b'{"benchmark":"gzip","instructions":0}',
              400, "instructions must be positive"),
             ("POST", "/v1/runs", b'{"benchmark":"gzip","priority":null}',
-             400, "priority must be an integer"),
+             400, "unknown field(s) 'priority'"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","instrucions":123}',
+             400, "unknown field(s) 'instrucions'"),
             ("POST", "/v1/nope", b"{}", 404, "no such endpoint"),
             ("GET", "/v1/nope", None, 404, "no such endpoint")):
         request = urllib.request.Request(f"{url}{path}", data=body,
@@ -166,6 +168,37 @@ def test_bad_requests_are_400(service_url, capsys):
         payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert payload["error"] and payload["error"].startswith(error)
     # every rejection was answered, none escaped the handler
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bad_result_timeout_is_400(capsys):
+    """``?timeout=`` on the result endpoint: a non-numeric or non-finite
+    value is answered 400 with a JSON error, never a dropped connection,
+    and a negative one waits not at all."""
+    service = SimulationService(instructions=INSTRUCTIONS, workers=1,
+                                cache=ResultCache(""))
+    # the pool never starts, so the job stays pending throughout
+    server = ServiceServer(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        job = ServiceClient(server.url).submit_one(benchmark="gzip")
+        result_url = f"{server.url}/v1/runs/{job['id']}/result"
+        for raw in ("abc", "inf", "-inf", "nan"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{result_url}?timeout={raw}",
+                                       timeout=10)
+            assert excinfo.value.code == 400, raw
+            payload = json.loads(excinfo.value.read().decode("utf-8"))
+            assert payload["error"].startswith("timeout must be"), raw
+        start = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{result_url}?timeout=-5", timeout=10)
+        assert excinfo.value.code == 504
+        assert time.monotonic() - start < 5.0
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.stop()
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Worker pool: resolution path, crash retry, timeout, shutdown-requeue."""
 
+import sys
 import threading
 import time
 
@@ -104,6 +105,31 @@ def test_fresh_pool_hits_disk_cache(tmp_path):
         assert job2.result.cycles == job.result.cycles
     finally:
         pool2.stop()
+
+
+def test_counters_lose_no_update_under_concurrent_workers():
+    """Every worker thread bumps the pool's counters: with more threads
+    than cores and a tiny switch interval, no increment is lost."""
+    _queue, pool, _runner = _pool(workers=1)
+    per_thread, threads = 20_000, 8
+
+    def bump():
+        for _ in range(per_thread):
+            pool._count("retries")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=bump) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert pool.retries == per_thread * threads
+    assert pool.metrics()["retries"] == per_thread * threads
 
 
 def test_crash_is_retried_once(tmp_path):
