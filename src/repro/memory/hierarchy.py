@@ -21,6 +21,12 @@ class CacheConfig:
     hit_latency: int
     ports: int = 1
 
+    def __post_init__(self) -> None:
+        # a cache with no ports never accepts an access: the core would
+        # spin until the deadlock watchdog fires
+        if self.ports < 1:
+            raise ValueError(f"cache ports must be >= 1, got {self.ports}")
+
 
 @dataclass(frozen=True)
 class HierarchyConfig:

@@ -10,8 +10,9 @@ submit`` and :class:`ServiceClient` talk to it.
 from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
                      ServiceClient, ServiceClosed, ServiceError,
                      ServiceTimeout, default_server_url)
+from ..sim.cache import spec_fingerprint
 from .jobs import (Job, JobQueue, JobState, QueueClosed, QueueFull,
-                   make_spec, spec_fingerprint, validate_spec)
+                   make_spec, validate_spec)
 from .persist import (STATE_DIR_ENV_VAR, PendingJob, QueueJournal)
 from .server import ServiceServer, SimulationService, serve
 from .workers import JobTimeout, ShutdownRequested, WorkerCrash, WorkerPool

@@ -37,7 +37,7 @@ from ..faults import should_inject
 from ..obs.events import get_journal
 from ..obs.tracing import current_context, new_trace_id
 from ..power.budget import PowerCalibration
-from ..sim.cache import fingerprint
+from ..sim.cache import spec_fingerprint
 from ..sim.configs import config_from_tag
 from ..sim.parallel import RunSpec
 from ..sim.simulator import BUILTIN_POLICIES, SimulationResult
@@ -46,7 +46,7 @@ from .persist import PendingJob, QueueJournal
 
 __all__ = ["FINISHED_JOBS_KEPT", "Job", "JobQueue", "JobState",
            "QueueClosed", "QueueFull", "integer_field", "make_spec",
-           "spec_fingerprint", "validate_spec"]
+           "validate_spec"]
 
 #: finished (done or failed) jobs a queue keeps for status queries; the
 #: oldest beyond this are dropped, and a lookup of one answers "no such
@@ -86,7 +86,8 @@ def make_spec(benchmark: str, policy: str = "dcg", tag: str = "baseline",
     Resolves the profile's canonical name and default seed exactly the
     way :class:`~repro.sim.runner.ExperimentRunner` does, so a job
     submitted over the wire lands on the same cache fingerprint as a
-    local run.  ``sample`` is an optional "KxL" interval-sampling plan.
+    local run.  ``sample`` is an optional "KxL" interval-sampling plan;
+    an empty one is a full run.
     """
     for name, value in (("benchmark", benchmark), ("policy", policy),
                         ("tag", tag)):
@@ -100,7 +101,7 @@ def make_spec(benchmark: str, policy: str = "dcg", tag: str = "baseline",
                    instructions=integer_field("instructions", instructions),
                    seed=(profile.seed if seed is None
                          else integer_field("seed", seed)),
-                   sample=str(sample) if sample is not None else None)
+                   sample=None if sample is None else str(sample) or None)
     validate_spec(spec)
     return spec
 
@@ -135,14 +136,6 @@ def validate_spec(spec: RunSpec) -> None:
     if getattr(spec, "sample", None):
         from ..sim.sampling import SampleSpec
         SampleSpec.parse(spec.sample).validate(spec.instructions)
-
-
-def spec_fingerprint(spec: RunSpec,
-                     calibration: Optional[PowerCalibration] = None) -> str:
-    """The spec's disk-cache content hash — the service's dedup key."""
-    return fingerprint(config_from_tag(spec.tag), get_profile(spec.benchmark),
-                       spec.policy, spec.instructions, calibration, spec.seed,
-                       sample=getattr(spec, "sample", None))
 
 
 # -- jobs -------------------------------------------------------------------

@@ -33,16 +33,14 @@ from ..obs.events import get_journal
 from ..obs.metrics import Histogram
 from ..obs.tracing import (SpanContext, activate, current_context,
                            new_span_id, new_trace_id, span)
-from ..sim.cache import result_from_dict, result_to_dict
-from ..sim.checkpoint import (CheckpointStore, SimulationInterrupted,
-                              spec_checkpoint_key)
+from ..sim.cache import result_from_dict, result_to_dict, spec_fingerprint
+from ..sim.checkpoint import CheckpointStore, SimulationInterrupted
 from ..sim.parallel import RunSpec, simulate_spec
 from ..sim.runner import ExperimentRunner
 from ..sim.simulator import SimulationResult
 from .jobs import Job, JobQueue
 
-__all__ = ["JobTimeout", "ShutdownRequested", "WorkerCrash", "WorkerPool",
-           "percentile"]
+__all__ = ["JobTimeout", "ShutdownRequested", "WorkerCrash", "WorkerPool"]
 
 
 class WorkerCrash(RuntimeError):
@@ -77,15 +75,6 @@ def _exit_message(child) -> str:
     if child.exitcode is None:
         return "worker exited with an unknown status"
     return f"worker exited with code {child.exitcode}"
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 # -- subprocess compute (timeout + crash isolation) -------------------------
@@ -325,7 +314,7 @@ class WorkerPool:
             # means the compute below resumes mid-run; record the
             # provenance before it happens so the journal tells the
             # story even if this attempt dies too
-            key = spec_checkpoint_key(spec, self.runner.calibration)
+            key = spec_fingerprint(spec, self.runner.calibration)
             snapshot = self.checkpoints.peek(key)
             if snapshot is not None:
                 job.resumed_from_checkpoint = True
@@ -345,7 +334,7 @@ class WorkerPool:
             # snapshot at the last chunk/window boundary, so re-queue —
             # the job's next life resumes instead of restarting
             if self.queue.persist is not None and self.checkpoints.enabled:
-                key = spec_checkpoint_key(spec, self.runner.calibration)
+                key = spec_fingerprint(spec, self.runner.calibration)
                 self.queue.persist.record_checkpoint(
                     job.id, key, self.checkpoints.peek(key))
             self.queue.requeue(job)

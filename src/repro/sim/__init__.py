@@ -1,15 +1,16 @@
 """Simulation drivers: facade, experiment runner, canonical configs,
-the on-disk result cache, checkpoint/sampling long-run machinery, and
-the multiprocessing grid executor."""
+the on-disk result cache, the one run driver (``run_spec``) over plain
+and sampled runs with their checkpoints, and the multiprocessing grid
+executor."""
 
-from .cache import ResultCache, fingerprint
+from .cache import ResultCache, fingerprint, spec_fingerprint
 from .checkpoint import (CheckpointStore, PausableRun,
-                         SimulationInterrupted, run_resumable_spec)
+                         SimulationInterrupted, run_spec)
 from .configs import (baseline_config, config_from_tag,
                       deep_pipeline_config, default_instructions)
 from .parallel import RunReport, RunSpec, default_jobs, execute_specs
 from .runner import ExperimentRunner
-from .sampling import SampledRun, SampleSpec, run_sampled_spec
+from .sampling import SampledRun, SampleSpec
 from .simulator import (BUILTIN_POLICIES, SimulationResult, Simulator,
                         make_policy)
 
@@ -34,6 +35,6 @@ __all__ = [
     "execute_specs",
     "fingerprint",
     "make_policy",
-    "run_resumable_spec",
-    "run_sampled_spec",
+    "run_spec",
+    "spec_fingerprint",
 ]

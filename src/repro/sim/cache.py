@@ -32,11 +32,12 @@ from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 from ..power.budget import PowerCalibration
 from ..trace.uop import FUClass, OpClass
-from ..workloads.profiles import BenchmarkProfile
+from ..workloads.profiles import BenchmarkProfile, get_profile
+from .configs import config_from_tag
 from .simulator import SimulationResult
 
 __all__ = ["ResultCache", "fingerprint", "result_to_dict",
-           "result_from_dict", "CACHE_ENV_VAR"]
+           "result_from_dict", "spec_fingerprint", "CACHE_ENV_VAR"]
 
 #: environment variable naming the on-disk cache directory
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -94,6 +95,17 @@ def fingerprint(config: MachineConfig, profile: BenchmarkProfile,
         payload["sample"] = sample
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def spec_fingerprint(spec: Any,
+                     calibration: Optional[PowerCalibration] = None) -> str:
+    """:func:`fingerprint` of a :class:`~repro.sim.parallel.RunSpec` —
+    the one key that names a run everywhere: cache entry, service
+    dedup, checkpoint file.  An empty sample plan runs as a full run,
+    so it keys as one."""
+    return fingerprint(config_from_tag(spec.tag), get_profile(spec.benchmark),
+                       spec.policy, spec.instructions, calibration, spec.seed,
+                       sample=spec.sample or None)
 
 
 # ---------------------------------------------------------------------------

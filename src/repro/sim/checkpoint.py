@@ -1,4 +1,13 @@
-"""Versioned, fingerprinted simulator checkpoints.
+"""The one run driver, and the versioned, fingerprinted checkpoints it
+resumes from.
+
+:func:`run_spec` takes every :class:`~repro.sim.parallel.RunSpec` to its
+result through one step loop over one of two run kinds: a plain
+:class:`PausableRun` steps in committed-instruction chunks, a sampled
+:class:`~repro.sim.sampling.SampledRun` one window at a time.  Both
+expose ``done``, ``step()``, ``progress``, ``state()``/``resume()`` and
+``result()``; the driver snapshots between steps when a store is
+enabled and the run is not :func:`straight_through`.
 
 A checkpoint is a snapshot of a paused simulation — the whole pipeline
 object graph (its columns and rings), the power accountant hanging off
@@ -33,24 +42,26 @@ import hashlib
 import os
 import pickle
 from itertools import islice
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
+from ..core.interface import GatingPolicy
 from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
+from ..pipeline.usage import CycleObserver
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..trace.uop import MicroOp
-from ..workloads.profiles import get_profile
+from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .cache import fingerprint
+from .cache import spec_fingerprint
 from .configs import baseline_config, config_from_tag, instruction_budget
 from .simulator import SimulationResult, assemble_run, build_result, \
     make_policy
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
            "DEFAULT_CHUNK", "PausableRun", "SimulationInterrupted",
-           "replay_source", "run_resumable_spec", "spec_checkpoint_key"]
+           "replay_source", "run_spec", "straight_through"]
 
 #: environment variable naming the checkpoint directory; unset disables
 #: checkpointing entirely (every store degrades to a no-op)
@@ -77,18 +88,6 @@ class SimulationInterrupted(RuntimeError):
     into a job re-queue so the next attempt resumes where this one
     stopped.
     """
-
-
-def spec_checkpoint_key(spec: Any,
-                        calibration: Optional[PowerCalibration] = None
-                        ) -> str:
-    """Checkpoint key for a run spec — the same content hash the disk
-    cache and the service dedup use, so one fingerprint names a run
-    everywhere (cache entry, queue dedup, checkpoint file)."""
-    return fingerprint(config_from_tag(spec.tag),
-                       get_profile(spec.benchmark), spec.policy,
-                       spec.instructions, calibration, spec.seed,
-                       sample=getattr(spec, "sample", None))
 
 
 def replay_source(benchmark: str, seed: Optional[int],
@@ -237,6 +236,8 @@ class CheckpointStore:
             pass
 
 
+
+
 # ---------------------------------------------------------------------------
 # pausable single run
 # ---------------------------------------------------------------------------
@@ -245,31 +246,44 @@ class PausableRun:
     """A full (non-sampled) simulation that can pause, snapshot, and
     resume bit-identically.
 
-    Assembled by :func:`~repro.sim.simulator.assemble_run` from the same
-    generator/stream wiring and prewarm as ``Simulator.run_benchmark``,
-    so a :class:`PausableRun` driven straight to the end produces the
-    same :class:`SimulationResult`.
+    Every plain run is one: ``Simulator.run_benchmark`` drives it
+    straight to the end, and :func:`run_spec` steps it ``chunk``
+    committed instructions at a time (the whole run when ``chunk`` is
+    None).  Assembled by :func:`~repro.sim.simulator.assemble_run`;
+    ``blocks`` lets a :class:`~repro.sim.simulator.Simulator` share its
+    power model, ``observers`` are extra per-cycle observers.
     """
 
-    def __init__(self, benchmark: str, policy: str = "base",
+    kind = "run"
+
+    def __init__(self, benchmark: Union[str, BenchmarkProfile],
+                 policy: Union[str, GatingPolicy] = "base",
                  instructions: Optional[int] = None, *,
                  config: Optional[MachineConfig] = None,
                  calibration: Optional[PowerCalibration] = None,
                  seed: Optional[int] = None,
-                 prewarm: bool = True) -> None:
-        profile = get_profile(benchmark)
+                 prewarm: bool = True,
+                 blocks: Optional[BlockPowers] = None,
+                 observers: Iterable[CycleObserver] = (),
+                 chunk: Optional[int] = None) -> None:
+        profile = (get_profile(benchmark) if isinstance(benchmark, str)
+                   else benchmark)
         self.benchmark = profile.name
-        self.policy_name = policy
+        if isinstance(policy, str):
+            self.policy_name, policy = policy, make_policy(policy)
+        else:
+            self.policy_name = policy.name
         self.instructions = instruction_budget(instructions)
         self.seed = seed
         self.calibration = calibration or PowerCalibration()
+        self.chunk = chunk
         config = config or baseline_config()
         generator = SyntheticTraceGenerator(profile, seed=seed)
         stream = TraceStream(iter(generator), limit=self.instructions)
         self.pipeline, self.accountant = assemble_run(
-            config, stream, make_policy(policy),
-            BlockPowers(config, self.calibration),
-            prewarm=generator if prewarm else None)
+            config, stream, policy,
+            blocks or BlockPowers(config, self.calibration),
+            prewarm=generator if prewarm else None, observers=observers)
 
     @property
     def committed(self) -> int:
@@ -278,6 +292,11 @@ class PausableRun:
     @property
     def done(self) -> bool:
         return self.committed >= self.instructions
+
+    @property
+    def progress(self) -> Dict[str, int]:
+        return {"committed": self.committed,
+                "instructions": self.instructions}
 
     def advance(self, to_committed: Optional[int] = None) -> SimStats:
         """Simulate up to ``to_committed`` instructions (all when None).
@@ -289,6 +308,10 @@ class PausableRun:
         target = self.instructions if to_committed is None else min(
             to_committed, self.instructions)
         return self.pipeline.run(max_instructions=target)
+
+    def step(self) -> None:
+        """Simulate one chunk (the rest of the run when unchunked)."""
+        self.advance(self.committed + self.chunk if self.chunk else None)
 
     def state(self) -> Dict[str, Any]:
         """Picklable snapshot; feed to :meth:`resume` (via a
@@ -309,7 +332,8 @@ class PausableRun:
 
     @classmethod
     def resume(cls, state: Dict[str, Any]) -> "PausableRun":
-        """Rebuild a paused run from :meth:`state`.
+        """Rebuild a paused run from :meth:`state`; it steps in
+        :data:`DEFAULT_CHUNK` chunks, as the run that saved it did.
 
         The pipeline and accountant come back from the pickle (one
         object graph, so the observer binding survives); the trace
@@ -323,6 +347,7 @@ class PausableRun:
         run.instructions = state["instructions"]
         run.seed = state["seed"]
         run.calibration = state["calibration"]
+        run.chunk = DEFAULT_CHUNK
         run.pipeline = state["pipeline"]
         run.accountant = state["accountant"]
         run.pipeline.stream.rebind(
@@ -335,64 +360,75 @@ class PausableRun:
 
 
 # ---------------------------------------------------------------------------
-# resumable spec execution (the service/CLI entry point)
+# the run driver (the parallel runner, service and CLI entry point)
 # ---------------------------------------------------------------------------
 
-def run_resumable_spec(spec: Any,
-                       calibration: Optional[PowerCalibration] = None,
-                       store: Optional[CheckpointStore] = None,
-                       stop: Optional[Any] = None,
-                       chunk: Optional[int] = None) -> SimulationResult:
-    """Run a plain spec in checkpointed chunks.
+def straight_through(spec: Any, store: CheckpointStore) -> bool:
+    """True when ``spec`` runs as one uninterrupted pipeline: a plain
+    run with no checkpoint store, or one shorter than two chunks.
 
-    Loads an existing checkpoint for the spec's fingerprint (resuming
-    mid-run), simulates ``chunk`` committed instructions at a time,
-    snapshots between chunks, and discards the checkpoint on
-    completion.  ``stop`` is an optional ``threading.Event``-like
-    object polled between chunks; when set, the current state is saved
-    and :class:`SimulationInterrupted` raised so the caller can
-    re-queue instead of losing the work.
+    Every other run is sampled or checkpointed — the runs
+    :func:`run_spec` snapshots when ``store`` is enabled, and the runs
+    per-cycle observers (the histograms) cannot follow.
+    """
+    return not spec.sample and not (
+        store.enabled and spec.instructions >= 2 * DEFAULT_CHUNK)
+
+
+def run_spec(spec: Any, calibration: Optional[PowerCalibration] = None,
+             *, store: Optional[CheckpointStore] = None,
+             stop: Optional[Any] = None,
+             observers: Iterable[CycleObserver] = ()) -> SimulationResult:
+    """Run one spec to its result; every spec comes through here.
+
+    A plain spec builds a :class:`PausableRun`, a sampled one a
+    :class:`~repro.sim.sampling.SampledRun`; both step (a chunk or a
+    window) until done.  Unless the run goes :func:`straight_through`,
+    an enabled ``store`` (default: ``$REPRO_CHECKPOINT_DIR``) resumes a
+    snapshot saved under the spec's fingerprint, snapshots after every
+    step, and discards the snapshot on completion.  ``stop`` is an
+    optional ``threading.Event``-like object polled before each step;
+    when set, the state is saved and :class:`SimulationInterrupted`
+    raised so the caller can re-queue instead of losing the work.
+    ``observers`` attach to a fresh plain run's pipeline.
     """
     store = store if store is not None else CheckpointStore()
-    chunk = chunk or DEFAULT_CHUNK
-    key = spec_checkpoint_key(spec, calibration)
+    straight = straight_through(spec, store)
+    if straight:
+        store = CheckpointStore("")          # nothing to resume or save
+    key = spec_fingerprint(spec, calibration) if store.enabled else ""
+    cls: Any = PausableRun
+    args: Tuple[Any, ...] = ()
+    options: Dict[str, Any] = {
+        "observers": observers, "chunk": None if straight else DEFAULT_CHUNK}
+    if spec.sample:
+        from .sampling import SampledRun
+        cls, args, options = SampledRun, (spec.sample,), {}
     journal = get_journal()
-    run: Optional[PausableRun] = None
-    state = store.load(key, kind="run")
+    ident = {"key": key, "benchmark": spec.benchmark, "policy": spec.policy}
+    run = None
+    state = store.load(key, kind=cls.kind)
     if state is not None:
         try:
-            run = PausableRun.resume(state)
+            run = cls.resume(state)
         except Exception:                    # noqa: BLE001 - stale state
             store.discard(key)
-            run = None
         else:
-            journal.emit("checkpoint.resume", strategy="run", key=key,
-                         benchmark=spec.benchmark, policy=spec.policy,
-                         committed=run.committed,
-                         instructions=run.instructions)
+            journal.emit("checkpoint.resume", strategy=run.kind, **ident,
+                         **run.progress)
     if run is None:
-        run = PausableRun(spec.benchmark, spec.policy, spec.instructions,
-                          config=config_from_tag(spec.tag),
-                          calibration=calibration, seed=spec.seed)
+        run = cls(spec.benchmark, spec.policy, spec.instructions, *args,
+                  config=config_from_tag(spec.tag), calibration=calibration,
+                  seed=spec.seed, **options)
     while not run.done:
         if stop is not None and stop.is_set():
-            store.save(key, "run", run.state(),
-                       meta={"committed": run.committed,
-                             "instructions": run.instructions})
+            store.save(key, run.kind, run.state(), meta=run.progress)
             raise SimulationInterrupted(
-                f"stopped at {run.committed}/{run.instructions} "
-                "committed instructions; state checkpointed")
-        before = run.committed
-        run.advance(min(run.committed + chunk, run.instructions))
-        if run.committed == before:
-            break                    # trace exhausted early: just finish
-        if not run.done:
-            if store.save(key, "run", run.state(),
-                          meta={"committed": run.committed,
-                                "instructions": run.instructions}):
-                journal.emit("checkpoint.save", strategy="run", key=key,
-                             benchmark=spec.benchmark, policy=spec.policy,
-                             committed=run.committed,
-                             instructions=run.instructions)
+                f"{run.kind} stopped at {run.progress}")
+        run.step()
+        if not run.done and store.save(key, run.kind, run.state(),
+                                       meta=run.progress):
+            journal.emit("checkpoint.save", strategy=run.kind, **ident,
+                         **run.progress)
     store.discard(key)
     return run.result()

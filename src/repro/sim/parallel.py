@@ -5,7 +5,10 @@ embarrassingly parallel: every run is an independent, seeded, pure
 computation.  :func:`execute_specs` distributes a batch of
 :class:`RunSpec` across a process pool and returns results in
 submission order, so the output is byte-identical to a serial run no
-matter how many workers raced to produce it.
+matter how many workers raced to produce it.  Each spec, in a worker or
+in the serial loop, runs through :func:`simulate_spec` — the journal
+and histograms wrapper around the one run driver,
+:func:`~repro.sim.checkpoint.run_spec`.
 
 Worker count comes from the ``--jobs`` CLI flag or the ``REPRO_JOBS``
 environment variable; ``jobs=1`` (the default) and any platform where a
@@ -23,8 +26,8 @@ from ..obs.events import get_journal
 from ..obs.histograms import CycleHistograms, histograms_enabled
 from ..obs.tracing import SpanContext, activate, current_context, span
 from ..power.budget import PowerCalibration
-from .configs import config_from_tag
-from .simulator import SimulationResult, Simulator
+from .checkpoint import CheckpointStore, run_spec, straight_through
+from .simulator import SimulationResult
 
 __all__ = ["RunSpec", "RunReport", "default_jobs", "execute_specs",
            "JOBS_ENV_VAR"]
@@ -92,7 +95,6 @@ def default_jobs(default: int = 1) -> int:
 
 _WORKER_CALIBRATION: Optional[PowerCalibration] = None
 _WORKER_CONTEXT: Optional[SpanContext] = None
-_WORKER_SIMULATORS = {}
 
 
 def _init_worker(calibration: PowerCalibration,
@@ -100,63 +102,13 @@ def _init_worker(calibration: PowerCalibration,
     global _WORKER_CALIBRATION, _WORKER_CONTEXT
     _WORKER_CALIBRATION = calibration
     _WORKER_CONTEXT = context
-    _WORKER_SIMULATORS.clear()
-
-
-def _worker_simulator(tag: str) -> Simulator:
-    if tag not in _WORKER_SIMULATORS:
-        _WORKER_SIMULATORS[tag] = Simulator(
-            config_from_tag(tag), _WORKER_CALIBRATION)
-    return _WORKER_SIMULATORS[tag]
-
-
-def _checkpointed(spec: RunSpec) -> bool:
-    """True when a plain spec runs in checkpointed chunks (a store is
-    configured and the run spans at least two chunks)."""
-    from .checkpoint import DEFAULT_CHUNK, CheckpointStore
-    return (not getattr(spec, "sample", None)
-            and CheckpointStore().enabled
-            and spec.instructions >= 2 * DEFAULT_CHUNK)
-
-
-def _run_spec_inner(spec: RunSpec,
-                    calibration: Optional[PowerCalibration],
-                    simulator: Optional[Simulator],
-                    stop: Optional[object],
-                    observer: Optional[CycleHistograms]) -> SimulationResult:
-    """Dispatch one spec to the right execution strategy.
-
-    Sampled specs go through :func:`~repro.sim.sampling.run_sampled_spec`
-    (interval sampling + window-boundary checkpoints); long plain runs
-    with a checkpoint store configured go through
-    :func:`~repro.sim.checkpoint.run_resumable_spec` (chunked with
-    snapshots between chunks); everything else takes the original
-    straight-through path.  Imports are deferred so the common path —
-    and the package import graph — never touches the sampling module.
-    """
-    # the pool path passes a prebuilt Simulator but no calibration;
-    # recover it so checkpoint keys and power numbers stay consistent
-    if calibration is None and simulator is not None:
-        calibration = simulator.calibration
-    if getattr(spec, "sample", None):
-        from .sampling import run_sampled_spec
-        return run_sampled_spec(spec, calibration, stop=stop)
-    if _checkpointed(spec):
-        from .checkpoint import run_resumable_spec
-        return run_resumable_spec(spec, calibration, stop=stop)
-    sim = simulator or Simulator(config_from_tag(spec.tag), calibration)
-    return sim.run_benchmark(spec.benchmark, spec.policy,
-                             instructions=spec.instructions,
-                             seed=spec.seed,
-                             observers=[observer] if observer
-                             else None)
 
 
 def simulate_spec(spec: RunSpec,
                   calibration: Optional[PowerCalibration] = None,
-                  simulator: Optional[Simulator] = None,
                   stop: Optional[object] = None) -> SimulationResult:
-    """Run one grid cell from scratch (no caching).
+    """Run one grid cell from scratch (no caching) through
+    :func:`~repro.sim.checkpoint.run_spec`.
 
     The single sim-level observability chokepoint: with a journal
     configured it runs inside a ``sim`` span and emits ``sim.start`` /
@@ -166,30 +118,28 @@ def simulate_spec(spec: RunSpec,
     sampled and checkpointed runs emit none).  With neither,
     the original zero-instrumentation path runs.
 
-    ``stop`` is an optional ``threading.Event``-like object consulted
-    by the sampled/checkpointed strategies at window/chunk boundaries;
-    when it fires mid-run the state is snapshotted and
+    ``stop`` is an optional ``threading.Event``-like object polled
+    between steps; when it fires mid-run the state is snapshotted and
     :class:`~repro.sim.checkpoint.SimulationInterrupted` propagates.
     """
     journal = get_journal()
+    store = CheckpointStore()
     # the histograms hook a single pipeline's observer list, so they
-    # only apply to the straight-through strategy: a sampled or
-    # checkpointed run emits no ``sim.histograms`` rather than an empty one
-    wanted = (histograms_enabled() and not getattr(spec, "sample", None)
-              and not _checkpointed(spec))
+    # only follow a straight-through run: a sampled or checkpointed run
+    # emits no ``sim.histograms`` rather than an empty one
+    wanted = histograms_enabled() and straight_through(spec, store)
     if not journal.enabled and not wanted:
-        return _run_spec_inner(spec, calibration, simulator, stop, None)
+        return run_spec(spec, calibration, store=store, stop=stop)
     ident = {"benchmark": spec.benchmark, "policy": spec.policy,
              "tag": spec.tag}
     with span("sim", **ident):
         journal.emit("sim.start", instructions=spec.instructions,
-                     seed=spec.seed, sample=getattr(spec, "sample", None),
-                     **ident)
+                     seed=spec.seed, sample=spec.sample, **ident)
         histograms = CycleHistograms() if wanted else None
         start = time.perf_counter()
         try:
-            result = _run_spec_inner(spec, calibration, simulator, stop,
-                                     histograms)
+            result = run_spec(spec, calibration, store=store, stop=stop,
+                              observers=[histograms] if histograms else ())
         except Exception as exc:
             journal.emit("sim.error",
                          seconds=time.perf_counter() - start,
@@ -210,7 +160,7 @@ def _pool_entry(indexed: Tuple[int, RunSpec]
     index, spec = indexed
     start = time.perf_counter()
     with activate(_WORKER_CONTEXT):
-        result = simulate_spec(spec, simulator=_worker_simulator(spec.tag))
+        result = simulate_spec(spec, _WORKER_CALIBRATION)
     return index, result, time.perf_counter() - start
 
 
@@ -222,14 +172,10 @@ ProgressFn = Callable[[RunReport], None]
 def _execute_serial(specs: Sequence[RunSpec],
                     calibration: Optional[PowerCalibration],
                     progress: Optional[ProgressFn]) -> List[SimulationResult]:
-    simulators = {}
     results: List[SimulationResult] = []
     for spec in specs:
-        if spec.tag not in simulators:
-            simulators[spec.tag] = Simulator(
-                config_from_tag(spec.tag), calibration)
         start = time.perf_counter()
-        result = simulate_spec(spec, simulator=simulators[spec.tag])
+        result = simulate_spec(spec, calibration)
         if progress is not None:
             progress(RunReport(spec, time.perf_counter() - start, "run"))
         results.append(result)
@@ -248,8 +194,7 @@ def execute_specs(specs: Sequence[RunSpec],
     """
     specs = list(specs)
     # resolve the default once, up front, so the serial loop and the
-    # pool workers build simulators from the same calibration object —
-    # previously only the pool path substituted the default
+    # pool workers simulate with the same calibration object
     calibration = calibration or PowerCalibration()
     if jobs <= 1 or len(specs) <= 1:
         return _execute_serial(specs, calibration, progress)

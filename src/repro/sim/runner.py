@@ -16,10 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.interface import GatingPolicy
 from ..obs.events import get_journal
-from ..pipeline.config import MachineConfig
 from ..power.budget import PowerCalibration
 from ..workloads.profiles import get_profile
-from .cache import ResultCache, fingerprint
+from .cache import ResultCache, spec_fingerprint
 from .configs import config_from_tag, instruction_budget
 from .parallel import (ProgressFn, RunReport, RunSpec, execute_specs,
                        simulate_spec)
@@ -91,13 +90,10 @@ class ExperimentRunner:
 
     # -- configurations ---------------------------------------------------
 
-    def _make_config(self, tag: str) -> MachineConfig:
-        return config_from_tag(tag)
-
     def simulator(self, tag: str = "baseline") -> Simulator:
         if tag not in self._simulators:
             self._simulators[tag] = Simulator(
-                self._make_config(tag), self.calibration)
+                config_from_tag(tag), self.calibration)
         return self._simulators[tag]
 
     # -- cache plumbing ---------------------------------------------------
@@ -108,12 +104,6 @@ class ExperimentRunner:
                        instructions=self.instructions, seed=profile.seed,
                        sample=self.sample)
 
-    def _fingerprint(self, spec: RunSpec) -> str:
-        return fingerprint(self._make_config(spec.tag),
-                           get_profile(spec.benchmark), spec.policy,
-                           spec.instructions, self.calibration, spec.seed,
-                           sample=spec.sample)
-
     def _report(self, spec: RunSpec, seconds: float, source: str,
                 batch_size: int = 1) -> None:
         if self.progress is not None:
@@ -123,7 +113,7 @@ class ExperimentRunner:
                  persist: bool) -> None:
         self._cache[spec] = result
         if persist:
-            self.cache.put(self._fingerprint(spec), result)
+            self.cache.put(spec_fingerprint(spec, self.calibration), result)
 
     @staticmethod
     def _emit_cache(kind: str, spec: RunSpec,
@@ -148,7 +138,7 @@ class ExperimentRunner:
             return self._cache[spec], "memory"
         if not disk:
             return None
-        stored = self.cache.get(self._fingerprint(spec))
+        stored = self.cache.get(spec_fingerprint(spec, self.calibration))
         if stored is not None:
             self._cache[spec] = stored
             self._emit_cache("cache.hit", spec, "disk")
@@ -206,16 +196,15 @@ class ExperimentRunner:
             result = self._execute([spec], jobs=1)[0]
             self._memoise(spec, result, persist=True)
             return result
-        sim = self.simulator(tag)
         start = time.perf_counter()
         if policy_factory is None:
             # simulate_spec is the instrumented sim chokepoint (span +
-            # sim.* journal events); it runs the same simulator object
-            result = simulate_spec(spec, simulator=sim)
+            # sim.* journal events)
+            result = simulate_spec(spec, self.calibration)
         else:
-            result = sim.run_benchmark(benchmark, policy_factory(),
-                                       instructions=self.instructions,
-                                       seed=spec.seed)
+            result = self.simulator(tag).run_benchmark(
+                benchmark, policy_factory(), instructions=self.instructions,
+                seed=spec.seed)
         self._report(spec, time.perf_counter() - start, "run")
         self._memoise(spec, result, persist=policy_factory is None)
         return result

@@ -34,25 +34,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
-from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .checkpoint import CheckpointStore, SimulationInterrupted, \
-    replay_source, spec_checkpoint_key
-from .configs import baseline_config, config_from_tag, instruction_budget
+from .checkpoint import replay_source
+from .configs import baseline_config, instruction_budget
 from .simulator import SimulationResult, assemble_run, build_result, \
     make_policy
 
-__all__ = ["SampleSpec", "SampledRun", "aggregate_windows",
-           "run_sampled_spec"]
+__all__ = ["SampleSpec", "SampledRun", "aggregate_windows"]
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,7 @@ def aggregate_windows(benchmark: str, policy: str,
 
 
 # ---------------------------------------------------------------------------
-# the driver
+# the sampled run
 # ---------------------------------------------------------------------------
 
 class SampledRun:
@@ -245,6 +242,8 @@ class SampledRun:
     the standard sampling warm-up compromise (caches/predictor dominate
     long-lived state by orders of magnitude).
     """
+
+    kind = "sampled"
 
     def __init__(self, benchmark: str, policy: str = "dcg",
                  instructions: Optional[int] = None,
@@ -320,6 +319,10 @@ class SampledRun:
     def done(self) -> bool:
         return self.next_window >= self.sample.windows
 
+    @property
+    def progress(self) -> Dict[str, int]:
+        return {"window": self.next_window, "windows": self.sample.windows}
+
     def run_window(self) -> SimulationResult:
         """Fast-forward to, then cycle-simulate, the next window."""
         if self.done:
@@ -341,23 +344,15 @@ class SampledRun:
         self.next_window += 1
         return result
 
-    def run(self, on_window: Optional[Callable[["SampledRun"], None]]
-            = None,
-            stop: Optional[Any] = None) -> SimulationResult:
-        """Simulate every remaining window; the weighted aggregate.
+    def step(self) -> None:
+        """One window: the driver's step (see
+        :func:`~repro.sim.checkpoint.run_spec`)."""
+        self.run_window()
 
-        ``on_window`` fires after each completed window (the
-        checkpoint hook); ``stop`` is polled between windows and raises
-        :class:`~repro.sim.checkpoint.SimulationInterrupted` when set.
-        """
+    def run(self) -> SimulationResult:
+        """Simulate every remaining window; the weighted aggregate."""
         while not self.done:
-            if stop is not None and stop.is_set():
-                raise SimulationInterrupted(
-                    f"stopped after {self.next_window}/"
-                    f"{self.sample.windows} sample windows")
             self.run_window()
-            if on_window is not None:
-                on_window(self)
         return self.result()
 
     def result(self) -> SimulationResult:
@@ -408,60 +403,3 @@ class SampledRun:
         run._source = replay_source(run.benchmark, run.seed, state["drawn"])
         run._drawn = state["drawn"]
         return run
-
-
-# ---------------------------------------------------------------------------
-# spec entry point (service / CLI / parallel runner)
-# ---------------------------------------------------------------------------
-
-def run_sampled_spec(spec: Any,
-                     calibration: Optional[PowerCalibration] = None,
-                     store: Optional[CheckpointStore] = None,
-                     stop: Optional[Any] = None) -> SimulationResult:
-    """Run a sampled spec, checkpointing at every window boundary.
-
-    With a checkpoint store configured (``REPRO_CHECKPOINT_DIR`` or an
-    explicit ``store``), a matching snapshot resumes from its last
-    completed window — a crashed/killed/drained job never re-simulates
-    finished intervals.  On completion the checkpoint is discarded.
-    """
-    store = store if store is not None else CheckpointStore()
-    key = spec_checkpoint_key(spec, calibration)
-    journal = get_journal()
-    ident = {"benchmark": spec.benchmark, "policy": spec.policy,
-             "key": key}
-    run: Optional[SampledRun] = None
-    state = store.load(key, kind="sampled")
-    if state is not None:
-        try:
-            run = SampledRun.resume(state)
-        except Exception:                    # noqa: BLE001 - stale state
-            store.discard(key)
-            run = None
-        else:
-            journal.emit("checkpoint.resume", strategy="sampled",
-                         window=run.next_window,
-                         windows=run.sample.windows, **ident)
-    if run is None:
-        run = SampledRun(spec.benchmark, spec.policy, spec.instructions,
-                         spec.sample, config=config_from_tag(spec.tag),
-                         calibration=calibration, seed=spec.seed)
-
-    def checkpoint(current: SampledRun) -> None:
-        if current.done:
-            return                   # about to aggregate; nothing to save
-        if store.save(key, "sampled", current.state(),
-                      meta={"window": current.next_window,
-                            "windows": current.sample.windows}):
-            journal.emit("checkpoint.save", strategy="sampled",
-                         window=current.next_window,
-                         windows=current.sample.windows, **ident)
-
-    hook = checkpoint if store.enabled else None
-    try:
-        result = run.run(on_window=hook, stop=stop)
-    except SimulationInterrupted:
-        # the last completed window is already checkpointed; just stop
-        raise
-    store.discard(key)
-    return result

@@ -1,9 +1,12 @@
-"""High-level simulation facade.
+"""High-level simulation facade and the parts every run is built from.
 
-:class:`Simulator` wires together a workload, the timing pipeline, a
-gating policy, and the power accountant, and returns a single
-:class:`SimulationResult` carrying both performance and power numbers —
-everything §5's figures are computed from.
+:class:`Simulator` runs (workload, policy) pairs on one machine and
+returns a :class:`SimulationResult` carrying both performance and power
+numbers — everything §5's figures are computed from.  Its
+``run_benchmark`` drives a :class:`~repro.sim.checkpoint.PausableRun`,
+the same plain run :func:`~repro.sim.checkpoint.run_spec` steps;
+:func:`assemble_run` wires every pipeline and :func:`build_result` reads
+every result.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..trace.uop import MicroOp
-from ..workloads.profiles import BenchmarkProfile, get_profile
+from ..workloads.profiles import BenchmarkProfile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .configs import baseline_config, instruction_budget
+from .configs import baseline_config
 
 __all__ = ["SimulationResult", "Simulator", "assemble_run", "build_result",
            "make_policy", "BUILTIN_POLICIES"]
@@ -99,10 +102,11 @@ def build_result(name: str, policy_obj: GatingPolicy,
                  stats: SimStats) -> SimulationResult:
     """Assemble a :class:`SimulationResult` from a finished pipeline.
 
-    Shared by :class:`Simulator`, the checkpointable
-    :class:`~repro.sim.checkpoint.PausableRun`, and the per-window
-    results of :class:`~repro.sim.sampling.SampledRun`, so all three
-    produce byte-identical results from identical pipeline state.
+    Shared by the plain :class:`~repro.sim.checkpoint.PausableRun`
+    (which ``Simulator.run_benchmark`` drives), the per-window results
+    of :class:`~repro.sim.sampling.SampledRun`, and
+    ``Simulator.run_trace``, so all produce byte-identical results from
+    identical pipeline state.
     """
     family_savings = {
         fam: accountant.family_saving(fam)
@@ -141,10 +145,11 @@ def assemble_run(config: MachineConfig, stream: TraceStream,
                  ) -> Tuple[Pipeline, PowerAccountant]:
     """Wire a stream, policy and power accountant into a ready pipeline.
 
-    The one place a run is assembled — :class:`Simulator`, the
-    checkpointable :class:`~repro.sim.checkpoint.PausableRun` and each
-    :class:`~repro.sim.sampling.SampledRun` window all come through
-    here.  ``hierarchy``/``predictor`` share warmed state across
+    The one place a run is assembled — the plain
+    :class:`~repro.sim.checkpoint.PausableRun`, each
+    :class:`~repro.sim.sampling.SampledRun` window and
+    ``Simulator.run_trace`` all come through here.
+    ``hierarchy``/``predictor`` share warmed state across
     pipelines (sampling windows); ``prewarm`` installs a synthetic
     workload's working set before cycle 0; ``observers`` are extra
     per-cycle observers attached after the accountant.
@@ -186,17 +191,19 @@ class Simulator:
                       ) -> SimulationResult:
         """Simulate one SPEC2000-like benchmark under one policy.
 
+        Drives a :class:`~repro.sim.checkpoint.PausableRun` on this
+        simulator's machine and power model straight to the end.
         ``observers`` are extra per-cycle observers attached after the
         power accountant — the opt-in histograms hook.
         """
-        profile = (get_profile(benchmark) if isinstance(benchmark, str)
-                   else benchmark)
-        count = instruction_budget(instructions)
-        generator = SyntheticTraceGenerator(profile, seed=seed)
-        stream = TraceStream(iter(generator), limit=count)
-        return self._run(profile.name, stream, policy, count,
-                         prewarm_source=generator if prewarm else None,
-                         observers=observers)
+        # deferred: the checkpoint module builds on this one
+        from .checkpoint import PausableRun
+        run = PausableRun(benchmark, policy, instructions,
+                          config=self.config, calibration=self.calibration,
+                          seed=seed, prewarm=prewarm, blocks=self.blocks,
+                          observers=observers or ())
+        run.step()
+        return run.result()
 
     def run_trace(self, source: Iterable[MicroOp], policy:
                   Union[str, GatingPolicy] = "base",
@@ -204,17 +211,9 @@ class Simulator:
                   name: str = "trace") -> SimulationResult:
         """Simulate an arbitrary micro-op trace (e.g. from the ISA
         functional tracer) under one policy."""
-        stream = TraceStream(source, limit=instructions)
-        return self._run(name, stream, policy, instructions)
-
-    def _run(self, name: str, stream: TraceStream,
-             policy: Union[str, GatingPolicy],
-             instructions: Optional[int],
-             prewarm_source: Optional[SyntheticTraceGenerator] = None,
-             observers: Optional[Iterable] = None) -> SimulationResult:
         policy_obj = make_policy(policy) if isinstance(policy, str) else policy
         pipeline, accountant = assemble_run(
-            self.config, stream, policy_obj, self.blocks,
-            prewarm=prewarm_source, observers=observers or ())
+            self.config, TraceStream(source, limit=instructions),
+            policy_obj, self.blocks)
         stats = pipeline.run(max_instructions=instructions)
         return build_result(name, policy_obj, accountant, stats)

@@ -9,6 +9,8 @@ default budget.
 
 :class:`CycleRecorder` is the suite's one recording observer: tests that
 inspect a run cycle by cycle attach it and read :attr:`records` after.
+:class:`StopAfter` is the stop event tests hand the run driver to
+interrupt a run at a chosen step.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ class CycleRecorder(CycleObserver):
     @property
     def decisions(self):
         return [decision for _usage, decision in self.records]
+
+
+class StopAfter:
+    """Event-alike whose ``is_set`` flips True after N polls (the run
+    driver polls once before every step)."""
+
+    def __init__(self, polls: int) -> None:
+        self.polls = polls
+        self.seen = 0
+
+    def is_set(self) -> bool:
+        self.seen += 1
+        return self.seen > self.polls
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,9 @@ import pytest
 
 from repro.service import jobs as jobs_module
 from repro.service.jobs import (JobQueue, JobState, QueueClosed,
-                                QueueFull, make_spec,
-                                spec_fingerprint, validate_spec)
+                                QueueFull, make_spec, validate_spec)
+from repro.sim import ResultCache
+from repro.sim.cache import spec_fingerprint
 from repro.sim.parallel import RunSpec
 
 
@@ -30,6 +31,10 @@ def test_make_spec_resolves_profile_seed():
     assert spec.benchmark == "gzip"
     assert spec.seed is not None           # profile default, pinned
 
+def test_make_spec_empty_sample_is_a_full_run():
+    assert _spec(sample="") == _spec()
+
+
 def test_make_spec_rejects_unknown_benchmark():
     with pytest.raises(KeyError, match="quake3"):
         make_spec("quake3")
@@ -44,13 +49,16 @@ def test_validate_spec_messages():
         validate_spec(RunSpec("baseline", "gzip", "dcg", 0, 1))
 
 
-def test_fingerprint_matches_runner_fingerprint():
-    """The dedup key must alias the disk cache's content hash."""
+def test_fingerprint_matches_runner_fingerprint(tmp_path):
+    """The dedup key must alias the disk cache's content hash: the
+    runner files a result under the spec's fingerprint."""
     from repro.sim.runner import ExperimentRunner
-    runner = ExperimentRunner(instructions=500)
-    spec = runner._spec("gzip", "dcg", "baseline")
-    assert spec_fingerprint(spec, runner.calibration) == \
-        runner._fingerprint(spec)
+    runner = ExperimentRunner(instructions=500,
+                              cache=ResultCache(str(tmp_path)))
+    result = runner.run("gzip", "dcg")
+    spec = make_spec("gzip", "dcg", instructions=500)
+    assert runner.cache.get(spec_fingerprint(spec, runner.calibration)) \
+        .cycles == result.cycles
 
 
 # -- dedup ------------------------------------------------------------------

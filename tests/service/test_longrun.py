@@ -9,11 +9,11 @@ import pytest
 from repro.service.jobs import JobQueue, JobState, make_spec
 from repro.service.persist import QueueJournal
 from repro.service.server import SimulationService
-from repro.sim import CheckpointStore, SimulationInterrupted
-from repro.sim.cache import result_to_dict
-from repro.sim.checkpoint import (CHECKPOINT_DIR_ENV_VAR,
-                                  spec_checkpoint_key)
-from repro.sim.sampling import run_sampled_spec
+from repro.sim import CheckpointStore, SimulationInterrupted, run_spec
+from repro.sim.cache import result_to_dict, spec_fingerprint
+from repro.sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
+
+from ..conftest import StopAfter
 
 INSTRUCTIONS = 4_000
 SAMPLE = "4x500"
@@ -21,16 +21,6 @@ SAMPLE = "4x500"
 
 def _journal(tmp_path) -> QueueJournal:
     return QueueJournal(str(tmp_path / "state" / "queue.jsonl"))
-
-
-class StopAfter:
-    def __init__(self, polls: int) -> None:
-        self.polls = polls
-        self.seen = 0
-
-    def is_set(self) -> bool:
-        self.seen += 1
-        return self.seen > self.polls
 
 
 # -- monotonic job clocks ---------------------------------------------------
@@ -122,13 +112,13 @@ def test_worker_resumes_sampled_job_from_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setenv(CHECKPOINT_DIR_ENV_VAR, str(tmp_path / "ckpt"))
     spec = make_spec("gzip", "dcg", instructions=INSTRUCTIONS,
                      sample=SAMPLE)
-    reference = run_sampled_spec(spec, store=CheckpointStore(""))
+    reference = run_spec(spec, store=CheckpointStore(""))
 
     # a previous life dies after 2 of 4 windows, leaving its snapshot
     with pytest.raises(SimulationInterrupted):
-        run_sampled_spec(spec, stop=StopAfter(2))
+        run_spec(spec, stop=StopAfter(2))
     store = CheckpointStore()
-    key = spec_checkpoint_key(spec)
+    key = spec_fingerprint(spec)
     assert store.peek(key)["window"] == 2
 
     service = SimulationService(instructions=INSTRUCTIONS, workers=1)
@@ -163,7 +153,7 @@ def test_drain_checkpoints_requeues_and_resumes_across_restart(tmp_path):
     first.start()
     job, _ = first.submit({"benchmark": "gzip", "policy": "dcg",
                            "sample": sample})
-    key = spec_checkpoint_key(job.spec, first.runner.calibration)
+    key = spec_fingerprint(job.spec, first.runner.calibration)
     deadline = time.monotonic() + 60.0
     while store.peek(key) is None and time.monotonic() < deadline:
         time.sleep(0.005)

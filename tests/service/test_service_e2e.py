@@ -154,6 +154,11 @@ def test_bad_requests_are_400(service_url, capsys):
              400, "instructions must be an integer"),
             ("POST", "/v1/runs", b'{"benchmark":"gzip","instructions":0}',
              400, "instructions must be positive"),
+            # an L1D with no ports would deadlock its worker
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","tag":"ports=0"}',
+             400, "cache ports must be >= 1"),
+            ("POST", "/v1/runs", b'{"benchmark":"gzip","tag":"ports=-1"}',
+             400, "cache ports must be >= 1"),
             ("POST", "/v1/runs", b'{"benchmark":"gzip","priority":null}',
              400, "unknown field(s) 'priority'"),
             ("POST", "/v1/runs", b'{"benchmark":"gzip","instrucions":123}',

@@ -8,7 +8,7 @@ import pytest
 
 from repro.service.jobs import JobQueue, JobState, make_spec
 from repro.service.workers import (JobTimeout, ShutdownRequested,
-                                   WorkerCrash, WorkerPool, percentile)
+                                   WorkerCrash, WorkerPool)
 from repro.sim import ExperimentRunner, ResultCache
 from repro.sim.parallel import simulate_spec
 
@@ -28,13 +28,6 @@ def _submit(queue, **fields):
     fields.setdefault("instructions", INSTRUCTIONS)
     job, _created = queue.submit(make_spec(**fields))
     return job
-
-
-def test_percentile_edges():
-    assert percentile([], 0.5) == 0.0
-    assert percentile([3.0], 0.95) == 3.0
-    assert percentile([1.0, 2.0, 3.0, 4.0], 0.0) == 1.0
-    assert percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
 
 
 def test_pool_simulates_and_caches(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from repro.sim import Simulator, baseline_config, deep_pipeline_config
 from repro.sim.cache import (ResultCache, fingerprint, result_from_dict,
-                             result_to_dict)
+                             result_to_dict, spec_fingerprint)
+from repro.sim.parallel import RunSpec
 from repro.workloads import get_profile
 
 
@@ -34,6 +35,25 @@ def test_fingerprint_separates_axes():
                        "dcg", 8000) != base
     assert fingerprint(baseline_config(), profile, "dcg", 8000,
                        seed=7) != base
+
+
+def test_spec_fingerprint_isolates_sample_plans():
+    plain = spec_fingerprint(RunSpec("baseline", "gzip", "dcg", 2000))
+    sampled = spec_fingerprint(RunSpec("baseline", "gzip", "dcg", 2000,
+                                       sample="4x100"))
+    other = spec_fingerprint(RunSpec("baseline", "gzip", "dcg", 2000,
+                                     sample="5x100"))
+    assert len({plain, sampled, other}) == 3
+
+
+def test_spec_fingerprint_keys_empty_sample_as_full_run():
+    """An empty plan runs as a full run; keying it apart filed the same
+    run under two fingerprints and simulated it twice."""
+    full = RunSpec("baseline", "gzip", "dcg", 2000)
+    assert spec_fingerprint(RunSpec("baseline", "gzip", "dcg", 2000,
+                                    sample="")) == spec_fingerprint(full)
+    assert spec_fingerprint(full) == fingerprint(
+        baseline_config(), get_profile("gzip"), "dcg", 2000)
 
 
 # -- serialisation ----------------------------------------------------------

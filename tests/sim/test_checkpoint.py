@@ -1,16 +1,19 @@
-"""Checkpoint store and pausable runs: bit-identity, corruption
-tolerance, interrupt/resume via the spec entry point."""
+"""Checkpoint store, pausable runs and the run driver: bit-identity,
+corruption tolerance, interrupt/resume of both run kinds."""
 
 import os
 import pickle
 
 import pytest
 
+from repro.obs import configure_journal, read_events
 from repro.sim import (CheckpointStore, PausableRun, SimulationInterrupted,
-                       Simulator, run_resumable_spec)
-from repro.sim.cache import result_to_dict
-from repro.sim.checkpoint import CHECKPOINT_DIR_ENV_VAR, spec_checkpoint_key
+                       Simulator, checkpoint, run_spec)
+from repro.sim.cache import result_to_dict, spec_fingerprint
+from repro.sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from repro.sim.parallel import RunSpec
+
+from ..conftest import StopAfter
 
 INSTRUCTIONS = 2_000
 
@@ -27,18 +30,6 @@ def _store(tmp_path) -> CheckpointStore:
 def _spec(**kwargs) -> RunSpec:
     kwargs.setdefault("instructions", INSTRUCTIONS)
     return RunSpec("baseline", "gzip", "dcg", **kwargs)
-
-
-class StopAfter:
-    """Event-alike whose ``is_set`` flips True after N polls."""
-
-    def __init__(self, polls: int) -> None:
-        self.polls = polls
-        self.seen = 0
-
-    def is_set(self) -> bool:
-        self.seen += 1
-        return self.seen > self.polls
 
 
 # -- CheckpointStore --------------------------------------------------------
@@ -124,13 +115,6 @@ def test_unpicklable_state_is_dropped_not_raised(tmp_path):
     assert store.dropped == 1
 
 
-def test_spec_checkpoint_key_isolates_sample_plans():
-    plain = spec_checkpoint_key(_spec())
-    sampled = spec_checkpoint_key(_spec(sample="4x100"))
-    other = spec_checkpoint_key(_spec(sample="5x100"))
-    assert len({plain, sampled, other}) == 3
-
-
 # -- PausableRun ------------------------------------------------------------
 
 def test_straight_drive_matches_simulator():
@@ -163,28 +147,61 @@ def test_snapshot_resume_is_bit_identical():
         result_to_dict(reference.result())
 
 
-def test_run_resumable_spec_interrupt_then_resume(tmp_path):
+# -- the run driver ---------------------------------------------------------
+
+#: per run kind: a spec, and the progress fields its checkpoint meta and
+#: ``checkpoint.*`` events carry
+KINDS = {
+    "run": (_spec(), {"committed", "instructions"}),
+    "sampled": (_spec(instructions=4_000, sample="4x500"),
+                {"window", "windows"}),
+}
+
+#: fields every journal record carries, whatever its kind
+RECORD_FIELDS = {"v", "ts", "kind", "pid"}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_run_spec_interrupt_then_resume(tmp_path, monkeypatch, kind):
+    """Stop a run after two steps, resume it from the store, and finish:
+    byte-identical to never stopping.  The envelope kind and the exact
+    fields of ``checkpoint.save``/``checkpoint.resume`` are pinned."""
+    monkeypatch.setattr(checkpoint, "DEFAULT_CHUNK", 600)
+    spec, progress = KINDS[kind]
     store = _store(tmp_path)
-    spec = _spec()
-    key = spec_checkpoint_key(spec)
+    key = spec_fingerprint(spec)
+    uninterrupted = run_spec(spec, store=CheckpointStore())
 
-    uninterrupted = run_resumable_spec(_spec(), store=_store(tmp_path),
-                                       chunk=INSTRUCTIONS)
-    with pytest.raises(SimulationInterrupted):
-        run_resumable_spec(spec, store=store, stop=StopAfter(1), chunk=600)
-    assert os.path.exists(store.path(key))
-    assert store.peek(key)["committed"] >= 600
-
-    resumed = run_resumable_spec(spec, store=store, chunk=600)
+    configure_journal(path=str(tmp_path / "events.jsonl"))
+    try:
+        with pytest.raises(SimulationInterrupted):
+            run_spec(spec, store=store, stop=StopAfter(2))
+        meta = store.peek(key)
+        assert meta.pop("kind") == kind
+        assert set(meta) == progress
+        resumed = run_spec(spec, store=store)
+    finally:
+        configure_journal()
     assert store.loads == 1
     assert result_to_dict(resumed) == result_to_dict(uninterrupted)
     # completion discards the checkpoint; a re-run starts cold
     assert store.peek(key) is None
 
+    events = list(read_events(str(tmp_path / "events.jsonl")))
+    assert [e["kind"] for e in events] == [
+        "checkpoint.save", "checkpoint.save", "checkpoint.resume",
+        "checkpoint.save"]
+    for event in events:
+        assert set(event) - RECORD_FIELDS == {
+            "strategy", "key", "benchmark", "policy"} | progress
+        assert (event["strategy"], event["key"]) == (kind, key)
 
-def test_run_resumable_spec_without_store_matches_simulator(tmp_path):
-    result = run_resumable_spec(_spec(), store=CheckpointStore(),
-                                chunk=500)
+
+def test_run_spec_without_store_matches_simulator(monkeypatch):
+    monkeypatch.setattr(checkpoint, "DEFAULT_CHUNK", 500)
+    # with no store a plain run is one step: the stop is polled once
+    result = run_spec(_spec(), store=CheckpointStore(),
+                      stop=StopAfter(1))
     direct = Simulator().run_benchmark("gzip", "dcg", INSTRUCTIONS)
     assert result_to_dict(result) == result_to_dict(direct)
 

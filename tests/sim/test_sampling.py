@@ -6,11 +6,9 @@ import pickle
 
 import pytest
 
-from repro.sim import (CheckpointStore, SampledRun, SampleSpec,
-                       SimulationInterrupted, Simulator, run_sampled_spec)
+from repro.sim import SampledRun, SampleSpec, Simulator
 from repro.sim.cache import result_to_dict
-from repro.sim.checkpoint import (CHECKPOINT_DIR_ENV_VAR,
-                                  spec_checkpoint_key)
+from repro.sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from repro.sim.parallel import RunSpec, simulate_spec
 from repro.sim.runner import ExperimentRunner
 
@@ -27,16 +25,6 @@ def _spec(**kwargs) -> RunSpec:
     kwargs.setdefault("instructions", INSTRUCTIONS)
     kwargs.setdefault("sample", SAMPLE)
     return RunSpec("baseline", "gzip", "dcg", **kwargs)
-
-
-class StopAfter:
-    def __init__(self, polls: int) -> None:
-        self.polls = polls
-        self.seen = 0
-
-    def is_set(self) -> bool:
-        self.seen += 1
-        return self.seen > self.polls
 
 
 # -- SampleSpec -------------------------------------------------------------
@@ -137,23 +125,6 @@ def test_resume_mid_run_is_bit_identical():
     assert resumed.next_window == 2
     result = resumed.run()
     assert result_to_dict(result) == result_to_dict(reference)
-
-
-def test_run_sampled_spec_interrupt_then_resume(tmp_path):
-    store = CheckpointStore(str(tmp_path / "ckpt"))
-    spec = _spec()
-    key = spec_checkpoint_key(spec)
-
-    uninterrupted = run_sampled_spec(_spec(), store=CheckpointStore())
-    with pytest.raises(SimulationInterrupted):
-        run_sampled_spec(spec, store=store, stop=StopAfter(2))
-    assert store.peek(key) == {"window": 2, "windows": 4,
-                               "kind": "sampled"}
-
-    resumed = run_sampled_spec(spec, store=store)
-    assert store.loads == 1
-    assert result_to_dict(resumed) == result_to_dict(uninterrupted)
-    assert store.peek(key) is None      # discarded on completion
 
 
 def test_simulate_spec_routes_sampled():
