@@ -175,3 +175,7 @@ class NoGatingPolicy(GatingPolicy):
     """The paper's base case: no clock gating anywhere."""
 
     name = "base"
+
+    def observe_span(self, usage: CycleUsage, n: int) -> GateDecision:
+        # stateless, so one call answers for every cycle of the span
+        return self.observe(usage)

@@ -18,14 +18,16 @@ stale entries are deleted and recomputed, never raised.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import hashlib
 import json
 import os
 import time
-from collections import Counter
-from typing import Any, Dict, Optional
+from collections import Counter, OrderedDict
+from functools import lru_cache
+from typing import Any, Dict, Optional, Tuple
 
 from ..faults import corrupt_file, fault_active, should_inject
 from ..pipeline.config import MachineConfig
@@ -71,6 +73,48 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+#: distinct config/profile/calibration objects whose canonical JSON
+#: text is kept; the report grid needs 5 + 18 + 1, a service a few more
+ENCODINGS_KEPT = 128
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building a fresh encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: id(obj) -> (obj, deep copy taken when encoded, canonical JSON text),
+#: oldest first; holding ``obj`` keeps its id from being recycled while
+#: it is listed.  No lock (a lock held across a fork would hang the
+#: child): each entry is stored whole in one atomic dict operation, so
+#: racing threads can at worst encode an object twice or evict an
+#: entry early, never pair a text with the wrong contents.
+_ENCODINGS: OrderedDict[int, Tuple[Any, Any, str]] = OrderedDict()
+
+_DEFAULT_CALIBRATION = PowerCalibration()
+
+
+def _encoded(value: Any) -> str:
+    """Canonical JSON text of ``_jsonable(value)``, encoded once per
+    object.
+
+    An entry answers only for the very object it was made from, and
+    only while that object still equals the deep copy the text was
+    encoded from, so an object changed in place (a frozen config's
+    dict mutated, say) is re-encoded rather than handed its old text.
+    """
+    entry = _ENCODINGS.get(id(value))
+    if entry is not None and entry[0] is value and value == entry[1]:
+        return entry[2]
+    snapshot = copy.deepcopy(value)
+    text = _CANONICAL.encode(_jsonable(snapshot))
+    _ENCODINGS[id(value)] = (value, snapshot, text)
+    while len(_ENCODINGS) > ENCODINGS_KEPT:
+        try:
+            _ENCODINGS.popitem(last=False)
+        except KeyError:         # another thread emptied it first
+            break
+    return text
+
+
 def fingerprint(config: MachineConfig, profile: BenchmarkProfile,
                 policy: str, instructions: int,
                 calibration: Optional[PowerCalibration] = None,
@@ -78,32 +122,41 @@ def fingerprint(config: MachineConfig, profile: BenchmarkProfile,
                 sample: Optional[str] = None) -> str:
     """Content hash of everything a simulation's outcome depends on.
 
-    ``sample`` is the "KxL" sampling plan of a sampled run; it joins
-    the payload only when set, so every pre-existing full-run
-    fingerprint (and the cache entries filed under them) stays stable.
+    The hashed blob is ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` of the payload ``{"calibration", "config",
+    "instructions", "policy", "profile", "seed", "version"}``, spelt
+    out key by key in sorted order so each object's text comes from
+    :func:`_encoded` instead of a fresh walk.  ``sample`` is the "KxL"
+    sampling plan of a sampled run; it joins the payload only when set,
+    so every pre-existing full-run fingerprint (and the cache entries
+    filed under them) stays stable.
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "config": _jsonable(config),
-        "profile": _jsonable(profile),
-        "policy": policy,
-        "instructions": instructions,
-        "calibration": _jsonable(calibration or PowerCalibration()),
-        "seed": seed,
-    }
+    parts = [
+        '{"calibration":', _encoded(calibration or _DEFAULT_CALIBRATION),
+        ',"config":', _encoded(config),
+        ',"instructions":', _CANONICAL.encode(instructions),
+        ',"policy":', _CANONICAL.encode(policy),
+        ',"profile":', _encoded(profile),
+    ]
     if sample is not None:
-        payload["sample"] = sample
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        parts += [',"sample":', _CANONICAL.encode(sample)]
+    parts += [',"seed":', _CANONICAL.encode(seed),
+              ',"version":', _CANONICAL.encode(CACHE_VERSION), "}"]
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
+
+
+#: tag -> machine config for :func:`spec_fingerprint`; the objects are
+#: never handed out, so nothing can change them under their encodings
+_tag_config = lru_cache(maxsize=ENCODINGS_KEPT)(config_from_tag)
 
 
 def spec_fingerprint(spec: Any,
                      calibration: Optional[PowerCalibration] = None) -> str:
     """:func:`fingerprint` of a :class:`~repro.sim.parallel.RunSpec` —
-    the one key that names a run everywhere: cache entry, service
-    dedup, checkpoint file.  An empty sample plan runs as a full run,
-    so it keys as one."""
-    return fingerprint(config_from_tag(spec.tag), get_profile(spec.benchmark),
+    the one key that names a run everywhere: cache entry, batch and
+    service dedup, checkpoint file.  An empty sample plan runs as a
+    full run, so it keys as one."""
+    return fingerprint(_tag_config(spec.tag), get_profile(spec.benchmark),
                        spec.policy, spec.instructions, calibration, spec.seed,
                        sample=spec.sample or None)
 

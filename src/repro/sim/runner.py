@@ -12,6 +12,7 @@ via :func:`~repro.sim.parallel.execute_specs`.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.interface import GatingPolicy
@@ -29,6 +30,13 @@ __all__ = ["ExperimentRunner"]
 #: (benchmark, policy) or (benchmark, policy, tag) — the loose request
 #: form accepted by :meth:`ExperimentRunner.run_many` / ``prefetch``
 Request = Union[Tuple[str, str], Tuple[str, str, str]]
+
+#: results an :class:`ExperimentRunner` keeps in memory, least recently
+#: used evicted first — at least the 144-cell report grid, so figures
+#: assembled after one ``prefetch`` never go back to disk.  ``repro
+#: serve`` keeps one runner for its whole life; without the bound its
+#: memo grew by about 3 KB per distinct run served.
+MEMO_RESULTS_KEPT = 1024
 
 
 class ExperimentRunner:
@@ -84,9 +92,10 @@ class ExperimentRunner:
             SampleSpec.parse(sample).validate(self.instructions)
         self.sample = sample
         self._simulators: Dict[str, Simulator] = {}
-        #: in-process memo, keyed on the whole spec: a service request
-        #: may override seed, budget or sample plan per job
-        self._cache: Dict[RunSpec, SimulationResult] = {}
+        #: in-process LRU memo, keyed on the whole spec (a service
+        #: request may override seed, budget or sample plan per job), so
+        #: a hit needs no fingerprint
+        self._cache: OrderedDict[RunSpec, SimulationResult] = OrderedDict()
 
     # -- configurations ---------------------------------------------------
 
@@ -109,11 +118,15 @@ class ExperimentRunner:
         if self.progress is not None:
             self.progress(RunReport(spec, seconds, source, batch_size))
 
-    def _memoise(self, spec: RunSpec, result: SimulationResult,
-                 persist: bool) -> None:
+    def _remember(self, spec: RunSpec, result: SimulationResult) -> None:
+        """Memo ``result`` under ``spec``, evicting past the bound."""
         self._cache[spec] = result
-        if persist:
-            self.cache.put(spec_fingerprint(spec, self.calibration), result)
+        self._cache.move_to_end(spec)
+        while len(self._cache) > MEMO_RESULTS_KEPT:
+            self._cache.popitem(last=False)
+
+    def _key(self, spec: RunSpec) -> str:
+        return spec_fingerprint(spec, self.calibration)
 
     @staticmethod
     def _emit_cache(kind: str, spec: RunSpec,
@@ -130,25 +143,42 @@ class ExperimentRunner:
         ``"disk"`` (disk hits are promoted into memory), or None on a
         full miss.  ``disk=False`` looks in memory only and reports no
         miss.  :meth:`run`, :meth:`run_many` and the service's worker
-        pool all resolve a spec through this one path.
+        pool all resolve a spec through the same two steps,
+        :meth:`_memory` then :meth:`_disk`; :meth:`run` and
+        :meth:`run_many` take them one by one, so a miss's fingerprint
+        also files its result.
         """
-        if spec in self._cache:
-            if get_journal().enabled:
-                self._emit_cache("cache.hit", spec, "memory")
-            return self._cache[spec], "memory"
+        result = self._memory(spec)
+        if result is not None:
+            return result, "memory"
         if not disk:
             return None
-        stored = self.cache.get(spec_fingerprint(spec, self.calibration))
-        if stored is not None:
-            self._cache[spec] = stored
-            self._emit_cache("cache.hit", spec, "disk")
-            return stored, "disk"
-        self._emit_cache("cache.miss", spec)
-        return None
+        stored = self._disk(spec, self._key(spec))
+        return None if stored is None else (stored, "disk")
+
+    def _memory(self, spec: RunSpec) -> Optional[SimulationResult]:
+        """Memo lookup by spec alone: no fingerprint work."""
+        result = self._cache.get(spec)
+        if result is not None:
+            self._cache.move_to_end(spec)
+            if get_journal().enabled:
+                self._emit_cache("cache.hit", spec, "memory")
+        return result
+
+    def _disk(self, spec: RunSpec, key: str) -> Optional[SimulationResult]:
+        """Disk lookup under ``key``; a hit is promoted into memory."""
+        stored = self.cache.get(key)
+        if stored is None:
+            self._emit_cache("cache.miss", spec)
+            return None
+        self._remember(spec, stored)
+        self._emit_cache("cache.hit", spec, "disk")
+        return stored
 
     def memoise_spec(self, spec: RunSpec, result: SimulationResult) -> None:
         """Record an externally computed result in memory and on disk."""
-        self._memoise(spec, result, persist=True)
+        self._remember(spec, result)
+        self.cache.put(self._key(spec), result)
 
     def _execute(self, specs: Sequence[RunSpec],
                  jobs: int) -> List[SimulationResult]:
@@ -186,27 +216,32 @@ class ExperimentRunner:
                 f"policy name {policy!r} is reserved for the built-in "
                 "policy; run a custom factory under a distinct name")
         spec = self._spec(benchmark, policy, tag)
-        hit = self.cached(spec, disk=policy_factory is None)
-        if hit is not None:
-            result, source = hit
-            if source == "disk":
-                self._report(spec, 0.0, "disk")
+        result = self._memory(spec)
+        if result is not None:
             return result
-        if self.remote is not None and policy_factory is None:
-            result = self._execute([spec], jobs=1)[0]
-            self._memoise(spec, result, persist=True)
-            return result
-        start = time.perf_counter()
-        if policy_factory is None:
-            # simulate_spec is the instrumented sim chokepoint (span +
-            # sim.* journal events)
-            result = simulate_spec(spec, self.calibration)
-        else:
+        if policy_factory is not None:
+            start = time.perf_counter()
             result = self.simulator(tag).run_benchmark(
                 benchmark, policy_factory(), instructions=self.instructions,
                 seed=spec.seed)
-        self._report(spec, time.perf_counter() - start, "run")
-        self._memoise(spec, result, persist=policy_factory is None)
+            self._report(spec, time.perf_counter() - start, "run")
+            self._remember(spec, result)
+            return result
+        key = self._key(spec)
+        result = self._disk(spec, key)
+        if result is not None:
+            self._report(spec, 0.0, "disk")
+            return result
+        if self.remote is not None:
+            result = self._execute([spec], jobs=1)[0]
+        else:
+            start = time.perf_counter()
+            # simulate_spec is the instrumented sim chokepoint (span +
+            # sim.* journal events)
+            result = simulate_spec(spec, self.calibration)
+            self._report(spec, time.perf_counter() - start, "run")
+        self._remember(spec, result)
+        self.cache.put(key, result)
         return result
 
     # -- batched runs -----------------------------------------------------
@@ -227,28 +262,47 @@ class ExperimentRunner:
         remaining runs are fanned out across ``jobs`` worker processes
         (``self.jobs`` by default, serial when 1).  Results come back
         in request order regardless of worker scheduling.
+
+        Specs are deduplicated on their fingerprint, not their fields:
+        two tags naming the same machine (``int_alus=6`` and
+        ``baseline``) are read, simulated and filed once.
         """
         jobs = self.jobs if jobs is None else jobs
         specs = [self._spec(*self._normalise(r)) for r in requests]
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        # each missed spec and every batch index that asked for it
-        pending: Dict[RunSpec, List[int]] = {}
+        # fingerprints this batch found on disk
+        found: Dict[str, SimulationResult] = {}
+        # each missed fingerprint and every batch index that asked for it
+        pending: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
-            if spec in pending:       # duplicate of a miss in this batch
-                pending[spec].append(i)
+            result = self._memory(spec)
+            if result is not None:
+                results[i] = result
                 continue
-            hit = self.cached(spec)
-            if hit is None:
-                pending[spec] = [i]
+            key = self._key(spec)
+            if key in pending:        # same run as a miss in this batch
+                pending[key].append(i)
                 continue
-            results[i], source = hit
-            if source == "disk":      # memory hits would flood progress
-                self._report(spec, 0.0, "disk")
+            result = found.get(key)
+            if result is not None:    # same run as a disk hit: in memory
+                self._remember(spec, result)
+                if get_journal().enabled:
+                    self._emit_cache("cache.hit", spec, "memory")
+            else:
+                result = self._disk(spec, key)
+                if result is None:
+                    pending[key] = [i]
+                    continue
+                found[key] = result
+                self._report(spec, 0.0, "disk")  # memory hits would flood
+            results[i] = result
         if pending:
-            fresh = self._execute(list(pending), jobs=jobs)
-            for (spec, indices), result in zip(pending.items(), fresh):
-                self._memoise(spec, result, persist=True)
+            missed = [specs[indices[0]] for indices in pending.values()]
+            fresh = self._execute(missed, jobs=jobs)
+            for (key, indices), result in zip(pending.items(), fresh):
+                self.cache.put(key, result)
                 for i in indices:
+                    self._remember(specs[i], result)
                     results[i] = result
         return results  # type: ignore[return-value]
 

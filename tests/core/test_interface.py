@@ -37,3 +37,20 @@ def test_gate_decision_defaults():
 
 def test_policy_name():
     assert NoGatingPolicy().name == "base"
+
+
+def test_no_gating_span_is_one_observe_call():
+    """The base policy is stateless: a skipped idle span of any length
+    costs one ``observe`` call, not one per cycle."""
+    calls = []
+
+    class Counting(NoGatingPolicy):
+        def observe(self, usage):
+            calls.append(usage.cycle)
+            return super().observe(usage)
+
+    policy = Counting()
+    policy.bind(MachineConfig())
+    decision = policy.observe_span(CycleUsage(cycle=40), 1000)
+    assert calls == [40]
+    assert decision.fu_gated == {} and decision.latch_gated_slots == 0

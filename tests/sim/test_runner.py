@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DCGPolicy
 from repro.sim import ExperimentRunner
+from repro.sim.cache import result_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +244,69 @@ def test_lookups_journal_and_report_each_source(tmp_path):
         == [("gzip", "dcg", "run"), ("gzip", "base", "disk"),
             ("mcf", "base", "run"), ("gzip", "dcg-no-latches", "run")]
     assert results[2] is results[3] and results[1] is results[4]
+
+
+@pytest.fixture(scope="module")
+def cold_grid(tmp_path_factory):
+    """One cold ``run_many`` of the whole report grid into a fresh
+    cache directory, with its progress reports."""
+    from repro.analysis.experiments import full_grid
+    from repro.sim import ResultCache
+    root = str(tmp_path_factory.mktemp("grid-cache"))
+    reports = []
+    runner = ExperimentRunner(instructions=150, cache=ResultCache(root),
+                              progress=reports.append)
+    grid = full_grid()
+    return root, grid, runner.run_many(grid), reports, runner
+
+
+def test_cold_grid_simulates_each_distinct_run_once(cold_grid):
+    """144 cells, 126 distinct runs: ``int_alus=6`` base is the baseline
+    machine's base run, so it is simulated and filed once."""
+    _root, grid, results, reports, runner = cold_grid
+    assert len(grid) == 144
+    assert [r.source for r in reports] == ["run"] * 126
+    assert runner.cache.stores == 126
+    by_cell = dict(zip(grid, results))
+    for bench in {cell[0] for cell in grid}:
+        assert by_cell[(bench, "base", "int_alus=6")] is \
+            by_cell[(bench, "base", "baseline")]
+
+
+def test_warm_grid_reads_each_distinct_run_once(cold_grid):
+    from repro.sim import ResultCache
+    root, grid, cold, _reports, _runner = cold_grid
+    reports = []
+    runner = ExperimentRunner(instructions=150, cache=ResultCache(root),
+                              progress=reports.append)
+    warm = runner.run_many(grid)
+    assert runner.cache.hits == 126 and runner.cache.misses == 0
+    assert [r.source for r in reports] == ["disk"] * 126
+    assert [result_to_dict(r) for r in warm] == \
+        [result_to_dict(r) for r in cold]
+    # every cell, aliases included, is now answered from memory
+    assert all(runner.cached(runner._spec(*cell))[1] == "memory"
+               for cell in grid)
+
+
+def test_memo_is_bounded_and_evictions_fall_back_to_disk(tmp_path,
+                                                        monkeypatch):
+    """The memo keeps at most ``MEMO_RESULTS_KEPT`` results, least
+    recently used out first; an evicted run is still a disk hit."""
+    from repro.sim import ResultCache, runner as runner_module
+    monkeypatch.setattr(runner_module, "MEMO_RESULTS_KEPT", 2)
+    runner = ExperimentRunner(instructions=300,
+                              cache=ResultCache(str(tmp_path / "cache")))
+    first = runner.run("gzip", "base")
+    for benchmark in ("mcf", "applu", "swim"):
+        runner.run(benchmark, "base")
+        assert len(runner._cache) <= 2
+    assert runner.cache.stores == 4
+    result, source = runner.cached(runner._spec("gzip", "base", "baseline"))
+    assert source == "disk" and result.cycles == first.cycles
+    # the promoted hit pushed out applu, the least recently used
+    assert runner.cached(runner._spec("swim", "base", "baseline"))[1] == \
+        "memory"
+    assert runner.cached(runner._spec("applu", "base", "baseline"))[1] == \
+        "disk"
+    assert len(runner._cache) == 2
