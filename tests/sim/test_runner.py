@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DCGPolicy
 from repro.sim import ExperimentRunner
-from repro.sim.cache import result_to_dict
+from repro.sim.cache import result_to_dict, spec_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +310,25 @@ def test_memo_is_bounded_and_evictions_fall_back_to_disk(tmp_path,
     assert runner.cached(runner._spec("applu", "base", "baseline"))[1] == \
         "disk"
     assert len(runner._cache) == 2
+
+
+def test_fingerprint_once_per_miss_and_never_for_memory_hits(tmp_path,
+                                                            monkeypatch):
+    """A miss's one fingerprint serves both its disk lookup and its
+    ``put``; a memory hit computes none."""
+    from repro.sim import ResultCache, runner as runner_module
+    keyed = []
+
+    def counting(spec, calibration=None):
+        keyed.append(spec)
+        return spec_fingerprint(spec, calibration)
+
+    monkeypatch.setattr(runner_module, "spec_fingerprint", counting)
+    runner = ExperimentRunner(instructions=300,
+                              cache=ResultCache(str(tmp_path / "cache")))
+    runner.run_many([("gzip", "base"), ("gzip", "dcg")])
+    runner.run("mcf", "base")
+    assert len(keyed) == 3 and runner.cache.stores == 3
+    runner.run_many([("gzip", "base"), ("gzip", "dcg"), ("mcf", "base")])
+    runner.run("gzip", "dcg")
+    assert len(keyed) == 3
