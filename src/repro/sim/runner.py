@@ -135,15 +135,13 @@ class ExperimentRunner:
         get_journal().emit(kind, layer=layer, benchmark=spec.benchmark,
                            policy=spec.policy, tag=spec.tag)
 
-    def cached(self, spec: RunSpec, disk: bool = True
-               ) -> Optional[Tuple[SimulationResult, str]]:
+    def cached(self, spec: RunSpec) -> Optional[Tuple[SimulationResult, str]]:
         """Memory-then-disk lookup of ``spec`` without simulating.
 
         Returns ``(result, source)`` with source ``"memory"`` or
         ``"disk"`` (disk hits are promoted into memory), or None on a
-        full miss.  ``disk=False`` looks in memory only and reports no
-        miss.  :meth:`run`, :meth:`run_many` and the service's worker
-        pool all resolve a spec through the same two steps,
+        full miss.  :meth:`run`, :meth:`run_many` and the service's
+        worker pool all resolve a spec through the same two steps,
         :meth:`_memory` then :meth:`_disk`; :meth:`run` and
         :meth:`run_many` take them one by one, so a miss's fingerprint
         also files its result.
@@ -151,8 +149,6 @@ class ExperimentRunner:
         result = self._memory(spec)
         if result is not None:
             return result, "memory"
-        if not disk:
-            return None
         stored = self._disk(spec, self._key(spec))
         return None if stored is None else (stored, "disk")
 
