@@ -568,13 +568,8 @@ class JobQueue:
 
     def _maybe_compact(self) -> None:
         """Rewrite the persistence journal once enough terminals pile up."""
-        if self.persist is None or not self.persist.should_compact():
-            return
-        with self._cond:
-            outstanding = [PendingJob.from_job(job)
-                           for job in self._jobs.values()
-                           if not job.finished]
-        self.persist.compact(outstanding)
+        if self.persist is not None and self.persist.should_compact():
+            self.persist.compact()
 
     # -- introspection ----------------------------------------------------
 

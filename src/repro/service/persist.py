@@ -12,16 +12,16 @@ Design notes:
 
 * Appends use open-per-write in ``"a"`` mode (the same O_APPEND
   pattern as :mod:`repro.obs.events`), so the queue thread never holds
-  a file handle across a crash and concurrent writers interleave at
-  line granularity.
+  a file handle across a crash; the journal's lock serialises them.
 * Recording never raises — persistence is a recovery aid, not a
   correctness dependency of the live path; failures bump ``dropped``.
 * Replay tolerates torn/corrupt trailing lines (a crash mid-append is
   the expected case) by skipping them.
-* ``compact()`` rewrites the journal to just the outstanding set via
-  tmp-file + ``os.replace``, so the file stays proportional to the
-  backlog, not the server's lifetime throughput.  The queue triggers
-  it after :data:`COMPACT_EVERY` terminal records.
+* ``compact()`` atomically rewrites the journal to just its
+  outstanding set, so the file tracks the backlog, not the server's
+  lifetime throughput.  The queue triggers it after
+  :data:`COMPACT_EVERY` terminal records; boot restores what it
+  returns.  Appends wait for a running compaction, so none is lost.
 
 Deadlines are persisted as **wall-clock** instants
 (``deadline_wall``): the live queue works in ``time.monotonic()``
@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..sim.cache import write_atomic
 from ..sim.parallel import RunSpec
 
 __all__ = ["COMPACT_EVERY", "PERSIST_VERSION", "PendingJob", "QueueJournal",
@@ -139,28 +139,29 @@ class QueueJournal:
     # -- appends ----------------------------------------------------------
 
     def _append(self, record: Dict[str, Any]) -> None:
+        """Append one record; ``_lock`` orders it against compaction,
+        so no record lands in the file a compaction is replacing."""
         record["v"] = PERSIST_VERSION
-        try:
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":"))
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-        except (OSError, ValueError, TypeError):
-            with self._lock:
+        with self._lock:
+            try:
+                line = json.dumps(record, sort_keys=True,
+                                  separators=(",", ":"))
+                with open(self.path, "a", encoding="utf-8") as handle:
+                    handle.write(line + "\n")
+            except (OSError, ValueError, TypeError):
                 self.dropped += 1
+                return
+            if record["op"] in ("done", "fail"):
+                self._since_compact += 1
 
     def record_submit(self, job: Any) -> None:
         self._append(_submit_record(PendingJob.from_job(job)))
 
     def record_done(self, job_id: str) -> None:
         self._append({"op": "done", "id": job_id})
-        with self._lock:
-            self._since_compact += 1
 
     def record_fail(self, job_id: str) -> None:
         self._append({"op": "fail", "id": job_id})
-        with self._lock:
-            self._since_compact += 1
 
     def record_checkpoint(self, job_id: str, key: str,
                           progress: Optional[Dict[str, Any]] = None
@@ -231,20 +232,19 @@ class QueueJournal:
 
     # -- compaction -------------------------------------------------------
 
-    def compact(self, pending: List[PendingJob]) -> None:
-        """Atomically rewrite the journal to just ``pending`` submits."""
-        parent = os.path.dirname(self.path) or "."
-        try:
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".queue-", suffix=".tmp", dir=parent)
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for job in pending:
-                    record = dict(_submit_record(job), v=PERSIST_VERSION)
-                    handle.write(json.dumps(record, sort_keys=True,
-                                            separators=(",", ":")) + "\n")
-            os.replace(tmp_path, self.path)
-            with self._lock:
-                self._since_compact = 0
-        except OSError:
-            with self._lock:
+    def compact(self) -> List[PendingJob]:
+        """Atomically rewrite the journal to its outstanding submits and
+        return them.  The set is replayed from the journal itself, and
+        ``_lock`` holds every append until the new file is in place."""
+        with self._lock:
+            pending = self.load()
+            lines = [json.dumps(dict(_submit_record(job), v=PERSIST_VERSION),
+                                sort_keys=True, separators=(",", ":")) + "\n"
+                     for job in pending]
+            try:
+                write_atomic(self.path, "".join(lines).encode("utf-8"))
+            except OSError:
                 self.dropped += 1
+            else:
+                self._since_compact = 0
+        return pending

@@ -123,10 +123,9 @@ class SimulationService:
         if state_dir:
             persist = QueueJournal(
                 os.path.join(state_dir, QUEUE_JOURNAL_FILENAME))
-            # replay what a previous life still owed, then compact the
-            # journal down to exactly that outstanding set
-            pending = persist.load()
-            persist.compact(pending)
+            # compact the journal down to what a previous life still
+            # owed, and restore exactly that
+            pending = persist.compact()
         self.queue = JobQueue(maxsize=queue_depth,
                               calibration=self.runner.calibration,
                               persist=persist)

@@ -33,7 +33,7 @@ from ..obs.events import get_journal
 from ..obs.metrics import Histogram
 from ..obs.tracing import (SpanContext, activate, current_context,
                            new_span_id, new_trace_id, span)
-from ..sim.cache import result_from_dict, result_to_dict, spec_fingerprint
+from ..sim.cache import result_from_dict, result_to_dict
 from ..sim.checkpoint import CheckpointStore, SimulationInterrupted
 from ..sim.parallel import RunSpec, simulate_spec
 from ..sim.runner import ExperimentRunner
@@ -167,7 +167,9 @@ class WorkerPool:
         An :class:`~repro.sim.runner.ExperimentRunner`; its in-memory
         memo and disk cache front every simulation.  Access is
         serialised by a pool-internal lock (the runner itself is not
-        thread-safe); actual simulation happens outside the lock.
+        thread-safe); actual simulation happens outside the lock.  A
+        job's ``key`` files its result, so the queue must fingerprint
+        under the runner's calibration (the service gives both one).
     workers:
         Thread count (concurrent simulations).
     timeout:
@@ -290,7 +292,7 @@ class WorkerPool:
     def _resolve(self, job: Job) -> None:
         spec = job.spec
         with self._runner_lock:
-            cached = self.runner.cached(spec)
+            cached = self.runner.cached(spec, job.key)
         if cached is not None:
             result, source = cached
             with self._count_lock:
@@ -314,8 +316,7 @@ class WorkerPool:
             # means the compute below resumes mid-run; record the
             # provenance before it happens so the journal tells the
             # story even if this attempt dies too
-            key = spec_fingerprint(spec, self.runner.calibration)
-            snapshot = self.checkpoints.peek(key)
+            snapshot = self.checkpoints.peek(job.key)
             if snapshot is not None:
                 job.resumed_from_checkpoint = True
                 self._count("resumed")
@@ -324,7 +325,7 @@ class WorkerPool:
                                    progress=snapshot,
                                    **job.event_fields())
                 if self.queue.persist is not None:
-                    self.queue.persist.record_checkpoint(job.id, key,
+                    self.queue.persist.record_checkpoint(job.id, job.key,
                                                          snapshot)
         start = time.perf_counter()
         try:
@@ -334,9 +335,8 @@ class WorkerPool:
             # snapshot at the last chunk/window boundary, so re-queue —
             # the job's next life resumes instead of restarting
             if self.queue.persist is not None and self.checkpoints.enabled:
-                key = spec_fingerprint(spec, self.runner.calibration)
                 self.queue.persist.record_checkpoint(
-                    job.id, key, self.checkpoints.peek(key))
+                    job.id, job.key, self.checkpoints.peek(job.key))
             self.queue.requeue(job)
             return
         except ShutdownRequested:
@@ -354,7 +354,7 @@ class WorkerPool:
                             traceback=tb or traceback.format_exc())
             return
         with self._runner_lock:
-            self.runner.memoise_spec(spec, result)
+            self.runner.memoise_spec(spec, result, job.key)
         elapsed = time.perf_counter() - start
         self._job_seconds.observe(elapsed)
         with self._count_lock:

@@ -14,6 +14,10 @@ variable (or an explicit ``root`` argument); without either the cache
 degrades to a no-op and the in-memory memoisation in
 :class:`~repro.sim.runner.ExperimentRunner` is all you get.  Corrupt or
 stale entries are deleted and recomputed, never raised.
+
+How a keyed file lands on disk is :class:`FileStore`'s business, which
+the checkpoint store shares; its :func:`write_atomic` also rewrites the
+service's queue journal.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import enum
 import hashlib
 import json
 import os
+import pickle
+import threading
 import time
 from collections import Counter, OrderedDict
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import corrupt_file, fault_active, should_inject
 from ..pipeline.config import MachineConfig
@@ -38,8 +44,9 @@ from ..workloads.profiles import BenchmarkProfile, get_profile
 from .configs import config_from_tag
 from .simulator import SimulationResult
 
-__all__ = ["ResultCache", "fingerprint", "result_to_dict",
-           "result_from_dict", "spec_fingerprint", "CACHE_ENV_VAR"]
+__all__ = ["FileStore", "ResultCache", "fingerprint", "result_to_dict",
+           "result_from_dict", "spec_fingerprint", "write_atomic",
+           "CACHE_ENV_VAR"]
 
 #: environment variable naming the on-disk cache directory
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -48,9 +55,9 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: alters simulation results without altering any config dataclass
 CACHE_VERSION = 1
 
-#: seconds after which an orphaned ``*.json.tmp.<pid>`` file (a writer
-#: killed between open and ``os.replace``) is considered abandoned; a
-#: live concurrent writer finishes in well under this
+#: seconds after which an orphaned temp file (a writer killed between
+#: open and rename) is considered abandoned; a live concurrent writer
+#: finishes in well under this
 STALE_TMP_SECONDS = 300.0
 
 
@@ -256,148 +263,197 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# the cache proper
+# atomic keyed files
 # ---------------------------------------------------------------------------
 
-class ResultCache:
-    """One-JSON-file-per-run store under a root directory.
+#: marks a file as a write in progress: ``<target>.tmp.<pid>.<thread>``
+TMP_MARKER = ".tmp."
 
-    Parameters
-    ----------
-    root:
-        Cache directory.  Defaults to ``$REPRO_CACHE_DIR``; when neither
-        is set (or ``root`` is the empty string) the cache is disabled
-        and every lookup misses.
+#: what reading or decoding a torn, corrupt or stale file raises
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError,
+               IndexError, EOFError, ImportError, pickle.UnpicklingError)
 
-    Notes
-    -----
-    A corrupt, truncated, or schema-incompatible entry is treated as a
-    miss: the file is deleted and the run recomputed.  ``hits``,
-    ``misses``, and ``stores`` count lookups for progress reporting;
-    lookups against a *disabled* cache count as ``disabled_lookups``,
-    not misses, so the hit ratio shown by the CLI and ``/metrics``
-    reflects real cache behaviour instead of reading near-zero whenever
-    ``REPRO_CACHE_DIR`` is unset.
+
+def _sweep_stale_tmp(directory: str) -> None:
+    """Delete temp files in ``directory`` older than
+    :data:`STALE_TMP_SECONDS`: a writer killed before its rename leaves
+    one behind for good, while a live writer's is recent."""
+    cutoff = time.time() - STALE_TMP_SECONDS
+    try:
+        names = [name for name in os.listdir(directory)
+                 if TMP_MARKER in name]
+    except OSError:
+        return
+    for name in names:
+        candidate = os.path.join(directory, name)
+        try:
+            if os.path.getmtime(candidate) < cutoff:
+                os.unlink(candidate)
+        except OSError:
+            pass                     # vanished or unreadable: not ours
+
+
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Replace ``path`` with ``chunks`` in one step; raises ``OSError``.
+
+    The bytes go to a temp file named for this process and thread, so
+    no two live writers share one, and a rename swaps it in: a reader
+    sees the old file or the new one, never a mix.  Stale temp files in
+    the directory are swept first.
     """
+    _sweep_stale_tmp(os.path.dirname(path) or ".")
+    tmp = f"{path}{TMP_MARKER}{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+class FileStore:
+    """Files named by key, ``<root>/<key[:2]>/<key><ext>``, written
+    atomically: the mechanics under :class:`ResultCache` and
+    :class:`~repro.sim.checkpoint.CheckpointStore`, which set ``ext``
+    and ``env_var``.
+
+    ``root`` defaults to ``$<env_var>``; without either (or with the
+    empty string) the store is disabled.  A file that cannot be read or
+    decoded is deleted and reads as absent.  With ``corrupt_site`` set,
+    that fault-injection site scribbles over a file just before a read.
+    """
+
+    ext = ""
+    env_var = ""
+    corrupt_site: Optional[str] = None
 
     def __init__(self, root: Optional[str] = None) -> None:
         if root is None:
-            root = os.environ.get(CACHE_ENV_VAR)
+            root = os.environ.get(self.env_var)
         self.root = root or None
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.disabled_lookups = 0
 
     @property
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
         assert self.root is not None
-        return os.path.join(self.root, key[:2], f"{key}.json")
+        return os.path.join(self.root, key[:2], key + self.ext)
+
+    def write(self, key: str, *chunks: bytes) -> None:
+        """File ``chunks`` under ``key``; raises ``OSError``."""
+        path = self.path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_atomic(path, *chunks)
+
+    def read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        """``decode`` of ``key``'s bytes, or None when there is no file
+        or it does not decode (the file is then deleted)."""
+        path = self.path(key)
+        # the ``fault_active`` pre-check keeps cold lookups (no file
+        # yet) out of the site's arrival count
+        site = self.corrupt_site
+        if (site is not None and fault_active(site)
+                and os.path.exists(path) and should_inject(site)):
+            corrupt_file(path)
+        try:
+            with open(path, "rb") as handle:
+                return decode(handle.read())
+        except FileNotFoundError:
+            return None
+        except _UNREADABLE:
+            self.discard(key)
+            return None
+
+    def discard(self, key: str) -> None:
+        """Delete ``key``'s file, if there is one."""
+        if not self.enabled:
+            return
+        try:
+            os.unlink(self.path(key))
+        except OSError:
+            pass
+
+    def clear(self) -> int:
+        """Delete every file and temp file under the root; the count."""
+        if not self.enabled:
+            return 0
+        removed = 0
+        for dirpath, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                if name.endswith(self.ext) or TMP_MARKER in name:
+                    try:
+                        os.unlink(os.path.join(dirpath, name))
+                        removed += 1
+                    except OSError:
+                        pass
+        return removed
+
+
+# ---------------------------------------------------------------------------
+# the cache proper
+# ---------------------------------------------------------------------------
+
+class ResultCache(FileStore):
+    """One JSON file per run under ``root`` (default
+    ``$REPRO_CACHE_DIR``; disabled without either, so every lookup
+    misses).
+
+    A corrupt, truncated, or schema-incompatible entry is a miss: the
+    file is deleted and the run recomputed.  ``hits``, ``misses`` and
+    ``stores`` count this instance's lookups and writes; lookups
+    against a disabled cache count as ``disabled_lookups``.  Nothing in
+    the program reads them (the CLI's summary counts
+    :class:`~repro.sim.parallel.RunReport` sources, ``/metrics`` the
+    worker pool's own hits); they tell a caller or a test what one
+    cache did.
+    """
+
+    ext = ".json"
+    env_var = CACHE_ENV_VAR
+    corrupt_site = "cache.corrupt"
+
+    def __init__(self, root: Optional[str] = None) -> None:
+        super().__init__(root)
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.disabled_lookups = 0
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """Stored result for ``key``, or ``None`` on any kind of miss."""
         if not self.enabled:
             self.disabled_lookups += 1
             return None
-        path = self._path(key)
-        # fault injection: scribble over an existing entry just before
-        # the read, driving the corruption-tolerance path below.  The
-        # ``fault_active`` pre-check keeps cold lookups (no file yet)
-        # out of the site's arrival count.
-        if (fault_active("cache.corrupt") and os.path.exists(path)
-                and should_inject("cache.corrupt")):
-            corrupt_file(path)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            result = result_from_dict(data)
-        except FileNotFoundError:
+        result = self.read(key, lambda data: result_from_dict(
+            json.loads(data)))
+        if result is None:
             self.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # corrupt or stale entry: drop it and recompute
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def put(self, key: str, result: SimulationResult) -> None:
         """Persist ``result`` under ``key`` (no-op when disabled)."""
         if not self.enabled:
             return
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        data = json.dumps(result_to_dict(result)).encode("ascii")
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            self._sweep_stale_tmp(os.path.dirname(path), keep=tmp)
-            with open(tmp, "w") as handle:
-                json.dump(result_to_dict(result), handle)
-            os.replace(tmp, path)  # atomic, safe under parallel writers
+            self.write(key, data)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
         self.stores += 1
 
-    @staticmethod
-    def _sweep_stale_tmp(dirpath: str, keep: Optional[str] = None) -> int:
-        """Delete abandoned ``*.json.tmp.*`` files older than
-        :data:`STALE_TMP_SECONDS` in ``dirpath``; returns the count.
-
-        A writer killed between opening its temp file and the atomic
-        ``os.replace`` leaves the orphan behind forever; sweeping here
-        (on the next ``put`` into the same bucket) keeps the cache tree
-        from accumulating them.  Recent temp files belong to live
-        concurrent writers and are left alone, as is ``keep`` (the
-        caller's own temp path).
-        """
-        removed = 0
-        cutoff = time.time() - STALE_TMP_SECONDS
-        try:
-            names = os.listdir(dirpath)
-        except OSError:
-            return 0
-        for name in names:
-            if ".json.tmp." not in name:
-                continue
-            candidate = os.path.join(dirpath, name)
-            if candidate == keep:
-                continue
-            try:
-                if os.path.getmtime(candidate) < cutoff:
-                    os.unlink(candidate)
-                    removed += 1
-            except OSError:
-                pass                 # vanished or unreadable: not ours
-        return removed
-
     def clear(self) -> int:
-        """Delete every entry *and* orphaned temp file; count removed.
-
-        Also resets the ``hits``/``misses``/``stores`` counters: the
-        lookups they describe were against entries that no longer
-        exist, so a post-clear hit ratio would be fiction.
-        """
-        if not self.enabled:
-            return 0
-        removed = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if name.endswith(".json") or ".json.tmp." in name:
-                    try:
-                        os.unlink(os.path.join(dirpath, name))
-                        removed += 1
-                    except OSError:
-                        pass
+        """Delete every entry and orphaned temp file; count removed.
+        Resets the counters too: their lookups were against entries
+        that no longer exist."""
+        removed = super().clear()
         self.hits = 0
         self.misses = 0
         self.stores = 0

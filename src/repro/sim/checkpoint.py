@@ -39,7 +39,6 @@ inherit the same store for free.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
@@ -54,7 +53,7 @@ from ..trace.stream import TraceStream
 from ..trace.uop import MicroOp
 from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .cache import spec_fingerprint
+from .cache import FileStore, spec_fingerprint
 from .configs import baseline_config, config_from_tag, instruction_budget
 from .simulator import SimulationResult, assemble_run, build_result, \
     make_policy
@@ -104,8 +103,8 @@ def replay_source(benchmark: str, seed: Optional[int],
 # the on-disk store
 # ---------------------------------------------------------------------------
 
-class CheckpointStore:
-    """Atomic, integrity-checked checkpoint files under one root.
+class CheckpointStore(FileStore):
+    """Integrity-checked checkpoint files, ``<root>/<key[:2]>/<key>.ckpt``.
 
     ``root`` defaults to ``$REPRO_CHECKPOINT_DIR``; without either the
     store is disabled and every operation is a cheap no-op.  Like the
@@ -114,30 +113,21 @@ class CheckpointStore:
     reports a miss; saving never raises (failures bump ``dropped``).
     """
 
+    ext = ".ckpt"
+    env_var = CHECKPOINT_DIR_ENV_VAR
+
     def __init__(self, root: Optional[str] = None) -> None:
-        if root is None:
-            root = os.environ.get(CHECKPOINT_DIR_ENV_VAR)
-        self.root = root or None
+        super().__init__(root)
         self.saves = 0
         self.loads = 0
         self.misses = 0
         self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
-
-    def path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, key[:2], f"{key}.ckpt")
 
     def save(self, key: str, kind: str, state: Dict[str, Any],
              meta: Optional[Dict[str, Any]] = None) -> bool:
         """Persist ``state`` under ``key``; False on any failure."""
         if not self.enabled:
             return False
-        path = self.path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
             payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
             envelope = {
@@ -148,30 +138,20 @@ class CheckpointStore:
                 "digest": hashlib.sha256(payload).hexdigest(),
                 "payload": payload,
             }
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(_MAGIC)
-                pickle.dump(envelope, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            self.write(key, _MAGIC, pickle.dumps(
+                envelope, protocol=pickle.HIGHEST_PROTOCOL))
         except (OSError, pickle.PicklingError, TypeError,
                 AttributeError):
             self.dropped += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.saves += 1
         return True
 
     def _read_envelope(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path(key)
-        try:
-            with open(path, "rb") as handle:
-                if handle.read(len(_MAGIC)) != _MAGIC:
-                    raise ValueError("bad magic")
-                envelope = pickle.load(handle)
+        def decode(data: bytes) -> Dict[str, Any]:
+            if not data.startswith(_MAGIC):
+                raise ValueError("bad magic")
+            envelope = pickle.loads(memoryview(data)[len(_MAGIC):])
             if (not isinstance(envelope, dict)
                     or envelope.get("version") != CHECKPOINT_VERSION
                     or envelope.get("key") != key):
@@ -180,17 +160,7 @@ class CheckpointStore:
             if hashlib.sha256(payload).hexdigest() != envelope["digest"]:
                 raise ValueError("digest mismatch")
             return envelope
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError, EOFError,
-                pickle.UnpicklingError, AttributeError, IndexError,
-                ImportError):
-            # corrupt, truncated, or schema-incompatible: drop it
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
+        return self.read(key, decode)
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """The checkpoint's ``meta`` dict (plus ``kind``) without
@@ -208,34 +178,18 @@ class CheckpointStore:
         if not self.enabled:
             return None
         envelope = self._read_envelope(key)
-        if envelope is None:
-            self.misses += 1
-            return None
-        if kind is not None and envelope["kind"] != kind:
+        if envelope is None or (kind is not None
+                                and envelope["kind"] != kind):
             self.misses += 1
             return None
         try:
             state = pickle.loads(envelope["payload"])
         except Exception:                    # noqa: BLE001 - any unpickle
-            try:
-                os.unlink(self.path(key))
-            except OSError:
-                pass
+            self.discard(key)
             self.misses += 1
             return None
         self.loads += 1
         return state
-
-    def discard(self, key: str) -> None:
-        """Delete ``key``'s checkpoint (run completed; state is moot)."""
-        if not self.enabled:
-            return
-        try:
-            os.unlink(self.path(key))
-        except OSError:
-            pass
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from ..power.budget import PowerCalibration
 from ..workloads.profiles import get_profile
 from .cache import ResultCache, spec_fingerprint
 from .configs import config_from_tag, instruction_budget
-from .parallel import (ProgressFn, RunReport, RunSpec, execute_specs,
-                       simulate_spec)
+from .parallel import ProgressFn, RunReport, RunSpec, execute_specs
 from .simulator import BUILTIN_POLICIES, SimulationResult, Simulator
 
 __all__ = ["ExperimentRunner"]
@@ -135,21 +134,21 @@ class ExperimentRunner:
         get_journal().emit(kind, layer=layer, benchmark=spec.benchmark,
                            policy=spec.policy, tag=spec.tag)
 
-    def cached(self, spec: RunSpec) -> Optional[Tuple[SimulationResult, str]]:
+    def cached(self, spec: RunSpec, key: Optional[str] = None
+               ) -> Optional[Tuple[SimulationResult, str]]:
         """Memory-then-disk lookup of ``spec`` without simulating.
 
         Returns ``(result, source)`` with source ``"memory"`` or
         ``"disk"`` (disk hits are promoted into memory), or None on a
-        full miss.  :meth:`run`, :meth:`run_many` and the service's
-        worker pool all resolve a spec through the same two steps,
-        :meth:`_memory` then :meth:`_disk`; :meth:`run` and
-        :meth:`run_many` take them one by one, so a miss's fingerprint
-        also files its result.
+        full miss.  :meth:`run_many` and the service's worker pool
+        resolve a spec through the same two steps, :meth:`_memory` then
+        :meth:`_disk`; ``key`` is the spec's fingerprint when the
+        caller already has it (a queued job does).
         """
         result = self._memory(spec)
         if result is not None:
             return result, "memory"
-        stored = self._disk(spec, self._key(spec))
+        stored = self._disk(spec, key or self._key(spec))
         return None if stored is None else (stored, "disk")
 
     def _memory(self, spec: RunSpec) -> Optional[SimulationResult]:
@@ -171,10 +170,12 @@ class ExperimentRunner:
         self._emit_cache("cache.hit", spec, "disk")
         return stored
 
-    def memoise_spec(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Record an externally computed result in memory and on disk."""
+    def memoise_spec(self, spec: RunSpec, result: SimulationResult,
+                     key: Optional[str] = None) -> None:
+        """Record an externally computed result in memory and on disk,
+        on disk under ``key`` when the caller has the fingerprint."""
         self._remember(spec, result)
-        self.cache.put(self._key(spec), result)
+        self.cache.put(key or self._key(spec), result)
 
     def _execute(self, specs: Sequence[RunSpec],
                  jobs: int) -> List[SimulationResult]:
@@ -205,7 +206,8 @@ class ExperimentRunner:
         studies do this).  Rebinding a built-in policy name to a custom
         factory is rejected — it would poison every cached figure that
         shares the key.  Factory runs stay out of the disk cache: a
-        fingerprint cannot see a closure's configuration.
+        fingerprint cannot see a closure's configuration.  Any other
+        miss resolves as a one-run :meth:`run_many` batch.
         """
         if policy_factory is not None and policy in BUILTIN_POLICIES:
             raise ValueError(
@@ -215,29 +217,14 @@ class ExperimentRunner:
         result = self._memory(spec)
         if result is not None:
             return result
-        if policy_factory is not None:
-            start = time.perf_counter()
-            result = self.simulator(tag).run_benchmark(
-                benchmark, policy_factory(), instructions=self.instructions,
-                seed=spec.seed)
-            self._report(spec, time.perf_counter() - start, "run")
-            self._remember(spec, result)
-            return result
-        key = self._key(spec)
-        result = self._disk(spec, key)
-        if result is not None:
-            self._report(spec, 0.0, "disk")
-            return result
-        if self.remote is not None:
-            result = self._execute([spec], jobs=1)[0]
-        else:
-            start = time.perf_counter()
-            # simulate_spec is the instrumented sim chokepoint (span +
-            # sim.* journal events)
-            result = simulate_spec(spec, self.calibration)
-            self._report(spec, time.perf_counter() - start, "run")
+        if policy_factory is None:
+            return self.run_many([(benchmark, policy, tag)])[0]
+        start = time.perf_counter()
+        result = self.simulator(tag).run_benchmark(
+            benchmark, policy_factory(), instructions=self.instructions,
+            seed=spec.seed)
+        self._report(spec, time.perf_counter() - start, "run")
         self._remember(spec, result)
-        self.cache.put(key, result)
         return result
 
     # -- batched runs -----------------------------------------------------

@@ -76,7 +76,7 @@ def test_cache_corrupt_injection_forces_recompute(tmp_path, monkeypatch):
                             INSTRUCTIONS, runner.calibration,
                             get_profile("gzip").seed)
     cache = runner.cache
-    path = cache._path(key)
+    path = cache.path(key)
     assert os.path.exists(path)
 
     configure_faults("cache.corrupt:nth=1,times=1")

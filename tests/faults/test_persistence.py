@@ -2,8 +2,13 @@
 
 import json
 import os
+import sys
+import threading
+
+import pytest
 
 from repro.service import ServiceServer, SimulationService
+from repro.service import persist as persist_mod
 from repro.service.jobs import JobQueue, JobState, make_spec
 from repro.service.persist import PendingJob, QueueJournal
 from repro.sim import ResultCache
@@ -64,14 +69,94 @@ def test_compact_rewrites_to_outstanding_set(tmp_path):
     done, _ = queue.submit(_spec("mcf"))
     job = queue.take(timeout=1)         # FIFO: pops "keep" (gzip) first
     queue.complete(job, object(), "run")
-    outstanding = journal.load()
-    journal.compact(outstanding)
+    assert [pending.id for pending in journal.compact()] == [done.id]
     lines = [json.loads(line) for line in
              open(journal.path, encoding="utf-8")]
     assert len(lines) == 1
     assert lines[0]["op"] == "submit"
     assert lines[0]["id"] == done.id
     assert journal.load()[0].id == done.id
+
+
+@pytest.mark.parametrize("racer", ["submit", "complete"])
+def test_compaction_keeps_records_that_race_it(tmp_path, monkeypatch,
+                                               racer):
+    """A record appended while a compaction rewrites the journal must
+    survive the rewrite: a submit that raced it stays outstanding, and
+    a job finished during it stays finished."""
+    monkeypatch.setattr(persist_mod, "COMPACT_EVERY", 1)
+    journal = _journal(tmp_path)
+    queue = JobQueue(maxsize=16, persist=journal)
+    first, _ = queue.submit(_spec("gzip"))
+    second, _ = queue.submit(_spec("mcf"))
+    assert queue.take(timeout=1) is first
+    assert queue.take(timeout=1) is second
+    raced = []
+
+    def race():
+        if racer == "submit":
+            raced.append(queue.submit(_spec("swim"))[0].id)
+        else:
+            queue.complete(second, object(), "run")
+
+    real_replace = os.replace
+    threads = []
+
+    def replace(src, dst):
+        # the first rewrite of the journal lets another thread act
+        # between the compaction's read and its swap; that thread
+        # finishes unless the compaction holds it off
+        if dst == journal.path and not threads:
+            threads.append(threading.Thread(target=race))
+            threads[0].start()
+            threads[0].join(0.5)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    queue.complete(first, object(), "run")      # compacts
+    threads[0].join(10)
+    assert not threads[0].is_alive()
+    outstanding = [pending.id for pending in journal.load()]
+    if racer == "submit":
+        assert outstanding == [second.id] + raced
+    else:
+        assert outstanding == []
+
+
+def test_journal_tracks_the_queue_under_concurrent_compaction(
+        tmp_path, monkeypatch):
+    """Eight threads submit and finish jobs while every terminal
+    compacts; the journal must end up naming exactly the unfinished
+    jobs, which a lost or resurrected record would break."""
+    monkeypatch.setattr(persist_mod, "COMPACT_EVERY", 1)
+    journal = _journal(tmp_path)
+    queue = JobQueue(maxsize=512, persist=journal)
+    unfinished = set()
+
+    def client(index):
+        for n in range(24):
+            job, _ = queue.submit(make_spec(
+                "gzip", "dcg", instructions=INSTRUCTIONS,
+                seed=index * 100 + n))
+            if n % 2:
+                queue.complete(job, object(), "run")
+            else:
+                unfinished.add(job.id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert {pending.id for pending in journal.load()} == unfinished
+    assert journal.dropped == 0
 
 
 def test_recording_never_raises_on_io_failure(tmp_path):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.service import ServiceClient, ServiceTimeout, SimulationService
-from repro.sim import ResultCache, Simulator
+from repro.sim import CheckpointStore, ResultCache, Simulator
 from repro.sim import cache as cache_mod
 
 
@@ -18,8 +18,8 @@ def result():
 # -- ResultCache.clear() / put() temp-file orphans --------------------------
 
 def _orphan(cache, key, age_seconds=0.0):
-    """Plant a ``*.json.tmp.<pid>`` orphan the way a killed writer would."""
-    path = cache._path(key)
+    """Plant a ``<file>.tmp.<pid>`` orphan the way a killed writer would."""
+    path = cache.path(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.tmp.99999"
     with open(tmp, "w") as handle:
@@ -71,6 +71,21 @@ def test_put_spares_recent_tmp_files(tmp_path, result):
     cache.put(key, result)
     assert os.path.exists(live)
     assert cache.get(key).cycles == result.cycles
+
+
+def test_checkpoint_save_sweeps_stale_tmp_orphans(tmp_path):
+    """A compute child terminated mid-save leaves a ``.ckpt.tmp.*``
+    behind; the next save into its bucket removes it once stale and
+    keeps a fresh one, which may belong to a live writer."""
+    store = CheckpointStore(str(tmp_path))
+    key = "ee" + "0" * 62
+    stale = _orphan(store, key,
+                    age_seconds=cache_mod.STALE_TMP_SECONDS + 60)
+    live = _orphan(store, "ee" + "1" * 62)
+    assert store.save(key, "run", {"committed": 1})
+    assert not os.path.exists(stale)
+    assert os.path.exists(live)
+    assert store.load(key, kind="run") == {"committed": 1}
 
 
 # -- ServiceClient._collect_result deadline clamp ---------------------------

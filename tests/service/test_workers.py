@@ -51,6 +51,33 @@ def test_pool_simulates_and_caches(tmp_path):
         pool.stop()
 
 
+def test_served_miss_is_fingerprinted_once_at_submit(tmp_path, monkeypatch):
+    """The queue's key files the result: a miss served with no
+    checkpoint store costs one fingerprint, taken at submit."""
+    from repro.service import jobs as jobs_module
+    from repro.sim import checkpoint as checkpoint_module
+    from repro.sim import runner as runner_module
+    from repro.sim.cache import spec_fingerprint
+    keyed = []
+
+    def counting(spec, calibration=None):
+        keyed.append(spec)
+        return spec_fingerprint(spec, calibration)
+
+    for module in (jobs_module, runner_module, checkpoint_module):
+        monkeypatch.setattr(module, "spec_fingerprint", counting)
+    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+    queue, pool, runner = _pool(tmp_path, workers=1)
+    pool.start()
+    try:
+        job = _submit(queue, benchmark="gzip", policy="dcg")
+        assert job.wait(timeout=60) and job.source == "run"
+    finally:
+        pool.stop()
+    assert len(keyed) == 1 and runner.cache.stores == 1
+    assert runner.cache.get(job.key).cycles == job.result.cycles
+
+
 def test_seed_override_is_not_served_the_default_seed_result(tmp_path):
     """A seed=77 request after a default-seed one for the same
     (tag, benchmark, policy) must simulate, not hit the cached cell."""

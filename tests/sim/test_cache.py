@@ -230,7 +230,7 @@ def test_corrupt_entry_deleted_and_recomputed(tmp_path, result):
     cache = ResultCache(str(tmp_path))
     key = "ab" + "0" * 62
     cache.put(key, result)
-    path = cache._path(key)
+    path = cache.path(key)
     with open(path, "w") as handle:
         handle.write("{ not json")
     assert cache.get(key) is None           # miss, not a crash
@@ -241,7 +241,7 @@ def test_schema_mismatch_is_a_miss(tmp_path, result):
     cache = ResultCache(str(tmp_path))
     key = "cd" + "0" * 62
     cache.put(key, result)
-    path = cache._path(key)
+    path = cache.path(key)
     with open(path, "w") as handle:
         json.dump({"benchmark": "gzip"}, handle)   # missing fields
     assert cache.get(key) is None
