@@ -227,6 +227,8 @@ class _ProgressPrinter:
             rate = report.instructions_per_second
             detail = (f"{report.seconds:6.2f}s  "
                       f"{rate / 1000.0:7.1f}k instr/s  cache miss")
+            if report.batch_size > 1:
+                detail += f"  (task of {report.batch_size})"
         print(f"[{self.completed:4d}] {where:32s} {detail}",
               file=sys.stderr)
 

@@ -8,7 +8,7 @@ lines dirty (write-back, for traffic statistics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 __all__ = ["CacheStats", "Cache", "MemoryLevel"]
@@ -127,6 +127,21 @@ class Cache(MemoryLevel):
         if len(lines) >= self.assoc:
             lines.pop(next(iter(lines)))
         lines[tag] = False
+
+    def copy(self, parent: Optional[MemoryLevel] = None) -> "Cache":
+        """An independent cache in this one's state (lines, LRU order,
+        dirty bits and statistics) missing to ``parent``.
+
+        Set by set ``dict.copy`` keeps each set's insertion order, which
+        is its LRU order; it is about ten times cheaper than
+        ``copy.deepcopy``.
+        """
+        twin = Cache.__new__(Cache)
+        twin.__dict__.update(self.__dict__)
+        twin.parent = parent
+        twin.stats = replace(self.stats)
+        twin._sets = [lines.copy() for lines in self._sets]
+        return twin
 
     def flush(self) -> None:
         """Invalidate every line (keeps statistics)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict
 
@@ -57,6 +58,17 @@ class CacheHierarchy:
         self.l1d = Cache("L1D", config.l1d.size_bytes, config.l1d.assoc,
                          config.l1d.line_bytes, config.l1d.hit_latency,
                          parent=self.l2)
+
+    def copy(self) -> "CacheHierarchy":
+        """An independent memory system in this one's state: one
+        prewarmed hierarchy serves every pipeline of a task."""
+        twin = CacheHierarchy.__new__(CacheHierarchy)
+        twin.config = self.config
+        twin.memory = copy.copy(self.memory)
+        twin.l2 = self.l2.copy(parent=twin.memory)
+        twin.l1i = self.l1i.copy(parent=twin.l2)
+        twin.l1d = self.l1d.copy(parent=twin.l2)
+        return twin
 
     @property
     def dcache_ports(self) -> int:

@@ -34,8 +34,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-__all__ = ["SpanContext", "activate", "current_context", "new_span_id",
-           "new_trace_id", "span"]
+__all__ = ["OpenSpan", "SpanContext", "activate", "current_context",
+           "new_span_id", "new_trace_id", "span"]
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,35 @@ def activate(context: Optional[SpanContext]) -> Iterator[None]:
         _pop()
 
 
+class OpenSpan:
+    """A span started under the calling thread's active context but
+    not made active itself; :meth:`end` emits its ``span`` event.
+
+    :func:`span` wraps one around a ``with`` block.  Work that several
+    spans cover at once (the specs of one shared simulation) opens one
+    per unit, all siblings, and :func:`activate` s each in turn.
+    """
+
+    def __init__(self, name: str, **attrs: Any) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.parent = current_context()
+        self.context = SpanContext(
+            self.parent.trace_id if self.parent else new_trace_id(),
+            new_span_id())
+        self.start = time.perf_counter()
+
+    def end(self, status: str = "ok") -> None:
+        from .events import get_journal
+        parent = self.parent
+        get_journal().emit(
+            "span", trace_id=self.context.trace_id,
+            span_id=self.context.span_id,
+            parent_span_id=parent.span_id if parent else None,
+            name=self.name, seconds=time.perf_counter() - self.start,
+            status=status, **self.attrs)
+
+
 @contextmanager
 def span(name: str, **attrs: Any) -> Iterator[SpanContext]:
     """Open a span named ``name``; yields its :class:`SpanContext`.
@@ -104,23 +133,15 @@ def span(name: str, **attrs: Any) -> Iterator[SpanContext]:
     parent IDs, wall-clock seconds, ``status`` (``"ok"`` or
     ``"error"``), and any keyword attributes — to the process journal.
     """
-    from .events import get_journal
-    parent = current_context()
-    context = SpanContext(
-        parent.trace_id if parent else new_trace_id(), new_span_id())
-    _push(context)
-    start = time.perf_counter()
+    opened = OpenSpan(name, **attrs)
+    _push(opened.context)
     status = "ok"
     try:
-        yield context
+        yield opened.context
     except BaseException:
         status = "error"
         raise
     finally:
         _pop()
-        get_journal().emit(
-            "span", trace_id=context.trace_id, span_id=context.span_id,
-            parent_span_id=parent.span_id if parent else None,
-            name=name, seconds=time.perf_counter() - start,
-            status=status, **attrs)
+        opened.end(status)
 

@@ -357,14 +357,18 @@ class JobQueue:
                                       else None),
                       deadline_at=deadline_at,
                       _seq=next(self._seq))
+            # journal the submit before ``take`` can see the job, so a
+            # worker's ``done`` never lands ahead of it (a restart would
+            # run the finished job again); appends take only the
+            # journal's own lock, never ``_cond``
+            if self.persist is not None:
+                self.persist.record_submit(job)
             self._jobs[job.id] = job
             self._inflight[key] = job
             self._push(job)
             self.submitted += 1
             self._note_depth(queued + 1)
             self._cond.notify()
-        if self.persist is not None:
-            self.persist.record_submit(job)
         journal.emit("job.enqueue", trace_id=job.trace_id,
                      deduped=False, instructions=spec.instructions,
                      **job.event_fields())

@@ -38,12 +38,15 @@ inherit the same store for free.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.interface import GatingPolicy
+from ..memory.hierarchy import CacheHierarchy
 from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
@@ -55,8 +58,8 @@ from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .cache import FileStore, spec_fingerprint
 from .configs import baseline_config, config_from_tag, instruction_budget
-from .simulator import SimulationResult, assemble_run, build_result, \
-    make_policy
+from .simulator import PolicyRider, SimulationResult, assemble_run, \
+    build_result, make_policy
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
            "DEFAULT_CHUNK", "PausableRun", "SimulationInterrupted",
@@ -201,11 +204,21 @@ class PausableRun:
     resume bit-identically.
 
     Every plain run is one: ``Simulator.run_benchmark`` drives it
-    straight to the end, and :func:`run_spec` steps it ``chunk``
+    straight to the end, :func:`run_spec` steps it ``chunk``
     committed instructions at a time (the whole run when ``chunk`` is
-    None).  Assembled by :func:`~repro.sim.simulator.assemble_run`;
-    ``blocks`` lets a :class:`~repro.sim.simulator.Simulator` share its
-    power model, ``observers`` are extra per-cycle observers.
+    None), and :func:`~repro.sim.parallel.execute_specs` runs one per
+    timing group of a task.  Assembled by
+    :func:`~repro.sim.simulator.assemble_run`; ``blocks`` lets a
+    :class:`~repro.sim.simulator.Simulator` share its power model,
+    ``observers`` are extra per-cycle observers.
+
+    A task shares its per-input work through three more options:
+    ``hierarchy`` is an already prewarmed memory system (the run does
+    not prewarm again), ``trace`` the run's ops drawn once up front
+    (instead of a fresh seeded generator's identical ones), and
+    ``riders`` are :class:`~repro.sim.simulator.PolicyRider` s whose
+    results :meth:`results` returns after the run's own.  A run with
+    riders goes straight through; its snapshots do not carry them.
     """
 
     kind = "run"
@@ -219,7 +232,10 @@ class PausableRun:
                  prewarm: bool = True,
                  blocks: Optional[BlockPowers] = None,
                  observers: Iterable[CycleObserver] = (),
-                 chunk: Optional[int] = None) -> None:
+                 chunk: Optional[int] = None,
+                 hierarchy: Optional[CacheHierarchy] = None,
+                 trace: Optional[Iterable[MicroOp]] = None,
+                 riders: Sequence[PolicyRider] = ()) -> None:
         profile = (get_profile(benchmark) if isinstance(benchmark, str)
                    else benchmark)
         self.benchmark = profile.name
@@ -231,13 +247,19 @@ class PausableRun:
         self.seed = seed
         self.calibration = calibration or PowerCalibration()
         self.chunk = chunk
+        self.riders = riders
         config = config or baseline_config()
-        generator = SyntheticTraceGenerator(profile, seed=seed)
-        stream = TraceStream(iter(generator), limit=self.instructions)
+        generator = None
+        if trace is None or (prewarm and hierarchy is None):
+            generator = SyntheticTraceGenerator(profile, seed=seed)
+        stream = TraceStream(iter(generator if trace is None else trace),
+                             limit=self.instructions)
         self.pipeline, self.accountant = assemble_run(
             config, stream, policy,
             blocks or BlockPowers(config, self.calibration),
-            prewarm=generator if prewarm else None, observers=observers)
+            hierarchy=hierarchy,
+            prewarm=generator if prewarm and hierarchy is None else None,
+            observers=observers, riders=riders)
 
     @property
     def committed(self) -> int:
@@ -302,6 +324,7 @@ class PausableRun:
         run.seed = state["seed"]
         run.calibration = state["calibration"]
         run.chunk = DEFAULT_CHUNK
+        run.riders = ()
         run.pipeline = state["pipeline"]
         run.accountant = state["accountant"]
         run.pipeline.stream.rebind(
@@ -311,6 +334,15 @@ class PausableRun:
     def result(self) -> SimulationResult:
         return build_result(self.benchmark, self.pipeline.policy,
                             self.accountant, self.pipeline.stats)
+
+    def results(self) -> List[SimulationResult]:
+        """:meth:`result`, then each rider's result in rider order;
+        every rider's ``stats`` is a copy of the shared run's."""
+        stats = self.pipeline.stats
+        return [self.result()] + [
+            build_result(self.benchmark, rider.policy, rider.accountant,
+                         copy.deepcopy(stats))
+            for rider in self.riders]
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.dcg import DCGPolicy
-from ..core.interface import GatingPolicy, NoGatingPolicy
+from ..core.interface import GateDecision, GatingPolicy, NoGatingPolicy
 from ..core.plb import PLBPolicy
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..pipeline.config import MachineConfig
 from ..pipeline.core import Pipeline
 from ..pipeline.stats import SimStats
-from ..pipeline.usage import CycleObserver
+from ..pipeline.usage import CycleObserver, CycleUsage
 from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
@@ -32,8 +33,9 @@ from ..workloads.profiles import BenchmarkProfile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .configs import baseline_config
 
-__all__ = ["SimulationResult", "Simulator", "assemble_run", "build_result",
-           "make_policy", "BUILTIN_POLICIES"]
+__all__ = ["PolicyRider", "SimulationResult", "Simulator", "assemble_run",
+           "build_result", "make_policy", "timing_neutral",
+           "BUILTIN_POLICIES"]
 
 
 # kept only because e2ebench/workloads.py imports it to label its reports
@@ -136,12 +138,63 @@ def make_policy(name: str) -> GatingPolicy:
     return factory()
 
 
+def timing_neutral(policy: GatingPolicy, config: MachineConfig) -> bool:
+    """True when ``policy``, bound to ``config``, cannot change the
+    machine's timing: its constraints are static and are the full
+    machine's — no disabled unit, no store delay, full widths, ports
+    and buses.
+
+    Such a policy only reads the cycles the machine runs anyway (§3),
+    so it can ride another neutral policy's pipeline as a
+    :class:`PolicyRider`.  Base, DCG and ``dcg+iq`` are neutral;
+    DCG's delayed-store variant and PLB are not.
+    """
+    if not policy.constraints_static:
+        return False
+    cons = policy.constraints(0)
+    return (cons.issue_width == config.issue_width
+            and cons.rename_width == config.decode_width
+            and cons.dcache_ports == config.dcache_ports
+            and cons.result_buses == config.result_buses
+            and not any(cons.disabled_fus.values())
+            and not cons.store_extra_delay)
+
+
+class PolicyRider(CycleObserver):
+    """A timing-neutral policy riding another policy's pipeline.
+
+    Each cycle it runs its own policy on the cycle's usage and feeds
+    the policy's own decision to its own power accountant, then to its
+    ``observers`` — exactly what a pipeline of its own would have done,
+    since neither policy changes the cycles both see.
+    :func:`assemble_run` binds the policy and builds the accountant.
+    """
+
+    def __init__(self, policy: GatingPolicy,
+                 observers: Iterable[CycleObserver] = ()) -> None:
+        self.policy = policy
+        self.observers = list(observers)
+        self.accountant: Optional[PowerAccountant] = None
+
+    def observe(self, usage: CycleUsage, decision: GateDecision) -> None:
+        decision = self.policy.observe(usage)
+        for observer in self.observers:
+            observer.observe(usage, decision)
+
+    def observe_span(self, usage: CycleUsage, decision: GateDecision,
+                     n: int) -> None:
+        decision = self.policy.observe_span(usage, n)
+        for observer in self.observers:
+            observer.observe_span(usage, decision, n)
+
+
 def assemble_run(config: MachineConfig, stream: TraceStream,
                  policy: GatingPolicy, blocks: BlockPowers, *,
                  hierarchy: Optional[CacheHierarchy] = None,
                  predictor: Optional[BranchPredictor] = None,
                  prewarm: Optional[SyntheticTraceGenerator] = None,
-                 observers: Iterable[CycleObserver] = ()
+                 observers: Iterable[CycleObserver] = (),
+                 riders: Sequence[PolicyRider] = ()
                  ) -> Tuple[Pipeline, PowerAccountant]:
     """Wire a stream, policy and power accountant into a ready pipeline.
 
@@ -150,9 +203,12 @@ def assemble_run(config: MachineConfig, stream: TraceStream,
     :class:`~repro.sim.sampling.SampledRun` window and
     ``Simulator.run_trace`` all come through here.
     ``hierarchy``/``predictor`` share warmed state across
-    pipelines (sampling windows); ``prewarm`` installs a synthetic
-    workload's working set before cycle 0; ``observers`` are extra
-    per-cycle observers attached after the accountant.
+    pipelines (sampling windows, a task's timing groups); ``prewarm``
+    installs a synthetic workload's working set before cycle 0;
+    ``observers`` are extra per-cycle observers attached after the
+    accountant.  ``riders`` are further policies sharing the pipeline,
+    each bound here and given its own accountant; they attach last,
+    and they and ``policy`` must all be :func:`timing_neutral`.
     """
     pipeline = Pipeline(config, stream, policy, hierarchy=hierarchy,
                         predictor=predictor)
@@ -162,6 +218,16 @@ def assemble_run(config: MachineConfig, stream: TraceStream,
     pipeline.add_observer(accountant)
     for observer in observers:
         pipeline.add_observer(observer)
+    for rider in riders:
+        rider.policy.bind(config)
+        for neutral in (policy, rider.policy):
+            if not timing_neutral(neutral, config):
+                raise ValueError(
+                    f"policy {neutral.name!r} changes the machine's "
+                    f"timing, so it cannot share a pipeline")
+        rider.accountant = PowerAccountant(blocks)
+        rider.observers.insert(0, rider.accountant)
+        pipeline.add_observer(rider)
     return pipeline, accountant
 
 

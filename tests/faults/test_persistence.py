@@ -123,6 +123,40 @@ def test_compaction_keeps_records_that_race_it(tmp_path, monkeypatch,
         assert outstanding == []
 
 
+def test_submit_record_lands_before_a_worker_can_finish_the_job(
+        tmp_path, monkeypatch):
+    """A worker that takes and completes a job while its submit is
+    still being journaled must not leave ``done`` ahead of ``submit``:
+    the journal would then name the finished job as outstanding and a
+    restart would run it again."""
+    journal = _journal(tmp_path)
+    queue = JobQueue(maxsize=16, persist=journal)
+    real_record_submit = journal.record_submit
+    threads = []
+
+    def worker():
+        job = queue.take(timeout=10)
+        if job is not None:
+            queue.complete(job, object(), "run")
+
+    def record_submit(job):
+        # give another thread the chance to take and finish the job
+        # before the submit record is written; it gets it unless the
+        # queue holds the job back until the record is in
+        threads.append(threading.Thread(target=worker))
+        threads[0].start()
+        threads[0].join(0.5)
+        real_record_submit(job)
+
+    monkeypatch.setattr(journal, "record_submit", record_submit)
+    job, created = queue.submit(_spec())
+    assert created
+    threads[0].join(10)
+    assert not threads[0].is_alive()
+    assert job.state is JobState.DONE
+    assert journal.load() == []
+
+
 def test_journal_tracks_the_queue_under_concurrent_compaction(
         tmp_path, monkeypatch):
     """Eight threads submit and finish jobs while every terminal

@@ -90,3 +90,24 @@ def test_memory_transfer_cycles():
     assert MainMemory(100, bus_bytes=32, transfer_bytes=64).transfer_cycles == 1
     assert MainMemory(100, bus_bytes=64, transfer_bytes=64).transfer_cycles == 0
     assert MainMemory(100, bus_bytes=16, transfer_bytes=64).transfer_cycles == 3
+
+
+def test_copy_is_independent_and_keeps_lru_order():
+    """A copy starts in the original's exact state — lines, LRU order,
+    dirty bits, counters — and neither sees the other's accesses."""
+    h = CacheHierarchy()
+    for addr in (0x4000, 0x8000, 0x4000 + 64 * 1024):
+        h.load(addr)
+    h.store(0x8000)
+    twin = h.copy()
+    assert twin.stats_table() == h.stats_table()
+    for mine, theirs in ((twin.l1i, h.l1i), (twin.l1d, h.l1d),
+                         (twin.l2, h.l2)):
+        assert [list(s.items()) for s in mine._sets] == \
+            [list(s.items()) for s in theirs._sets]
+    assert twin.l1d.parent is twin.l2 and twin.l1i.parent is twin.l2
+    assert twin.l2.parent is twin.memory is not h.memory
+    twin.load(0xC000)
+    assert not h.l1d.contains(0xC000) and not h.l2.contains(0xC000)
+    assert h.memory.accesses == 3 and twin.memory.accesses == 4
+    assert h.l1d.stats.misses + 1 == twin.l1d.stats.misses

@@ -103,3 +103,42 @@ def test_sampler_summary_is_identical_with_skipping_off(monkeypatch):
         summaries.append(histograms.summary())
     assert summaries[0] == summaries[1]
     assert summaries[0]["cycles"] > 1500        # mcf idles on misses
+
+
+def test_specs_sharing_a_pipeline_journal_like_solo_runs(tmp_path,
+                                                          monkeypatch):
+    """Specs simulated as one task keep their own ``sim`` span,
+    ``sim.start``/``sim.finish`` and ``sim.histograms``, with the same
+    fields a solo run emits (wall-clock seconds aside)."""
+    from repro.obs.tracing import span
+    from repro.sim.parallel import execute_specs
+
+    monkeypatch.setenv("REPRO_HISTOGRAMS", "1")
+    specs = [RunSpec(tag, "gzip", policy, INSTRUCTIONS)
+             for tag, policy in (("baseline", "base"),
+                                 ("baseline", "plb-ext"),
+                                 ("int_alus=6", "dcg"),
+                                 ("baseline", "dcg+iq"))]
+    volatile = {"ts", "pid", "trace_id", "span_id", "seconds"}
+
+    def journaled(path, simulate):
+        configure_journal(path=str(path))
+        with span("test.root") as root:
+            simulate()
+        events = list(read_events(str(path)))
+        fields = sorted(
+            (e["kind"], e["policy"], sorted(
+                (k, repr(v)) for k, v in e.items() if k not in volatile))
+            for e in events if e["kind"].startswith("sim."))
+        sims = [e for e in events
+                if e["kind"] == "span" and e["name"] == "sim"]
+        return fields, sims, root
+
+    solo, _, _ = journaled(tmp_path / "solo.jsonl", lambda: [
+        simulate_spec(spec) for spec in specs])
+    shared, sims, root = journaled(tmp_path / "shared.jsonl",
+                                   lambda: execute_specs(specs, jobs=1))
+    assert shared == solo
+    assert len(solo) == 3 * len(specs)
+    assert len({e["span_id"] for e in sims}) == len(specs)
+    assert {e["parent_span_id"] for e in sims} == {root.span_id}

@@ -79,3 +79,110 @@ def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "0")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
         default_jobs()
+
+
+# -- tasks and timing groups ------------------------------------------------
+
+def _one_benchmark_grid(instructions=300):
+    """The report grid's eight cells for gzip: seven distinct runs on
+    five machines, six of them distinct timings."""
+    from repro.analysis.experiments import full_grid
+    return [RunSpec(tag, bench, policy, instructions)
+            for bench, policy, tag in full_grid() if bench == "gzip"]
+
+
+def _count_work(monkeypatch):
+    """Counters of pipelines built, prewarms and trace draws."""
+    from repro.pipeline import core
+    from repro.workloads.synthetic import SyntheticTraceGenerator
+    counts = {"pipelines": 0, "prewarms": 0, "draws": 0}
+
+    def counting(name, real):
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core.Pipeline, "__init__",
+                        counting("pipelines", core.Pipeline.__init__))
+    monkeypatch.setattr(SyntheticTraceGenerator, "prewarm",
+                        counting("prewarms", SyntheticTraceGenerator.prewarm))
+    monkeypatch.setattr(SyntheticTraceGenerator, "__iter__",
+                        counting("draws", SyntheticTraceGenerator.__iter__))
+    return counts
+
+
+def test_plan_tasks_groups_by_benchmark_input():
+    from repro.sim.parallel import plan_tasks
+    specs = _one_benchmark_grid() + [
+        RunSpec("baseline", "mcf", "dcg", 300),
+        RunSpec("baseline", "gzip", "dcg", 300, seed=5),
+        RunSpec("ports=1", "gzip", "dcg", 300),
+        RunSpec("baseline", "gzip", "dcg", 400, sample="2x100"),
+        RunSpec("baseline", "gzip", "dcg", 400, sample="2x100")]
+    n = len(_one_benchmark_grid())
+    assert plan_tasks(specs) == [list(range(n)), [n], [n + 1], [n + 2],
+                                 [n + 3], [n + 4]]
+
+
+def test_a_task_prewarms_and_draws_once(monkeypatch):
+    """gzip's grid cells: six pipelines, one prewarm, one trace draw."""
+    counts = _count_work(monkeypatch)
+    reports = []
+    execute_specs(_one_benchmark_grid(), jobs=1, progress=reports.append)
+    assert counts == {"pipelines": 6, "prewarms": 1, "draws": 1}
+    assert len(reports) == 8
+    assert {(r.source, r.batch_size) for r in reports} == {("run", 8)}
+    assert len({r.seconds for r in reports}) == 1
+
+
+def test_long_budgets_draw_a_trace_per_timing_group(monkeypatch):
+    """Above the sharing bound no op list is held: each timing group
+    draws its own seeded generator."""
+    from repro.sim import parallel
+    monkeypatch.setattr(parallel, "SHARED_TRACE_MAX_OPS", 299)
+    counts = _count_work(monkeypatch)
+    execute_specs(_one_benchmark_grid(), jobs=1)
+    assert counts == {"pipelines": 6, "prewarms": 1, "draws": 6}
+
+
+def test_timing_neutral_reads_the_bound_constraints():
+    from repro.sim.configs import config_from_tag
+    from repro.sim.simulator import BUILTIN_POLICIES, make_policy, \
+        timing_neutral
+    neutral = set()
+    for name in BUILTIN_POLICIES:
+        for tag in ("baseline", "deep", "width=4", "ports=1"):
+            config = config_from_tag(tag)
+            policy = make_policy(name)
+            policy.bind(config)
+            if timing_neutral(policy, config):
+                neutral.add(name)
+    assert neutral == {"base", "dcg", "dcg+iq"}
+
+
+@pytest.mark.parametrize("rider", ["plb-ext", "dcg-delayed-store"])
+def test_a_policy_that_changes_timing_cannot_ride(rider):
+    from repro.sim.checkpoint import PausableRun
+    from repro.sim.simulator import PolicyRider, make_policy
+    with pytest.raises(ValueError, match="timing"):
+        PausableRun("gzip", "base", 300,
+                    riders=[PolicyRider(make_policy(rider))])
+    with pytest.raises(ValueError, match="timing"):
+        PausableRun("gzip", rider, 300,
+                    riders=[PolicyRider(make_policy("dcg"))])
+
+
+def test_rider_results_equal_solo_runs():
+    from repro.sim.cache import result_to_dict
+    from repro.sim.checkpoint import PausableRun
+    from repro.sim.simulator import PolicyRider, make_policy
+    run = PausableRun("mcf", "base", 500, riders=[
+        PolicyRider(make_policy(name)) for name in ("dcg", "dcg+iq")])
+    run.step()
+    shared = run.results()
+    for policy, result in zip(("base", "dcg", "dcg+iq"), shared):
+        solo = PausableRun("mcf", policy, 500)
+        solo.step()
+        assert result_to_dict(result) == result_to_dict(solo.result())
+    assert shared[0].stats is not shared[1].stats
